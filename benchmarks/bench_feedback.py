@@ -7,9 +7,8 @@ customer out of 50, while NDV-based equality selectivity predicts half
 the table.  Without feedback the service keeps executing the
 misordered join; with feedback the first execution records the
 measured cardinalities, the Q-Error crosses the threshold, and the
-cached entry is rebuilt in place — re-planned with observed seeds and
-re-routed per pipeline — so every warm execution after the first runs
-the corrected plan.
+cached entry is rebuilt in place — re-planned with observed seeds — so
+every warm execution after the first runs the corrected plan.
 
 Reported per variant (feedback on / off): cold latency, warm p50/p95
 over repeated executions, and the on/off warm speedup.  ``--json
@@ -23,7 +22,6 @@ import json
 import random
 import time
 
-from repro.feedback import FeedbackConfig
 from repro.server import QueryService
 
 CUSTOMERS = 50
@@ -123,17 +121,10 @@ def main(argv: list[str] | None = None) -> str:
     )
     fingerprints = (on["feedback_stats"] or {}).get("fingerprints", {})
     for key, entry in fingerprints.items():
-        decisions = []
-        if entry["replanned"]:
-            decisions.append("re-planned")
-        if entry["rerouted"]:
-            decisions.append("re-routed "
-                             + ", ".join(f"{f}->{l}" for f, l in
-                                         sorted(entry["route"].items())))
         lines.append(
             f"  {key}: executions={entry['executions']} "
             f"q_error={entry['q_error']:.2f} "
-            + ("; ".join(decisions) if decisions else "no decision")
+            + ("re-planned" if entry["replanned"] else "no decision")
         )
     if args.json:
         with open(args.json, "w") as handle:

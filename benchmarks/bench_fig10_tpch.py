@@ -10,6 +10,8 @@ its fast tier (Liftoff) is several times faster than HyPer's
 non-optimizing O0; execution times are competitive.
 """
 
+import pytest
+
 from repro.bench.harness import run_query
 from repro.bench.tpch import QUERIES, tpch_database
 
@@ -60,9 +62,6 @@ def compile_phase_table(scale_factor=_SCALE_FACTOR):
 
 
 # -- pytest-benchmark targets ----------------------------------------------------
-
-import pytest
-
 
 @pytest.fixture(scope="module")
 def tpch_db():

@@ -165,8 +165,16 @@ class Database:
         raw-rows hooks workers drive."""
         return self.workers > 0 and parse_engine_spec(spec)[0] == "wasm"
 
-    def _try_parallel(self, plan, spec: str, qtrace, fp: str | None = None):
+    def _try_parallel(self, plan, spec: str, qtrace, fp: str | None = None,
+                      decision=None, params: list | None = None,
+                      deadline=None, cancel_token=None, dispatcher=None):
         """One parallel attempt; ``None`` means run in-process instead.
+
+        The one parallel front door of both ``execute`` and the query
+        service (which passes its cached ``decision``, the statement
+        fingerprint keying the workers' executable caches, the bound
+        parameters, its deadline/cancel token, and a ``dispatcher``
+        routing tasks through the scheduler's fair turnstile).
 
         Pool-level failures (:class:`~repro.errors.WorkerError`) degrade
         silently — the query still runs, on the driver.  Real query
@@ -179,8 +187,12 @@ class Database:
         if executor is None or not executor.healthy:
             return None
         try:
-            return executor.execute(plan, self.catalog, spec, fp=fp,
-                                    trace=qtrace)
+            return executor.execute(
+                plan, self.catalog, spec, decision=decision, fp=fp,
+                params=params, deadline=deadline,
+                cancel_token=cancel_token, trace=qtrace,
+                dispatcher=dispatcher,
+            )
         except WorkerError as err:
             trace_event(qtrace, "parallel.degraded",
                         error=type(err).__name__, message=str(err))

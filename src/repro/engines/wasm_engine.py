@@ -170,14 +170,8 @@ class WasmEngine(QueryEngine):
         # Per-pipeline measurements of the most recent execute_prepared
         # — dicts of {index, function, rows_in, rows_out, morsels,
         # seconds}.  Populated unconditionally (no trace required): the
-        # feedback store harvests these to compute Q-Errors and route
-        # future executions.
+        # feedback store harvests these to compute Q-Errors.
         self.last_pipeline_stats: list[dict] = []
-        # Per-pipeline-function tier ladders chosen by the feedback
-        # router (export name -> ladder tuple), forwarded into
-        # EngineConfig.tier_plan at prepare time.  None keeps the
-        # mode's uniform ladder.
-        self.tier_plan: dict | None = None
 
     # -- compilation -----------------------------------------------------------
 
@@ -349,7 +343,6 @@ class WasmEngine(QueryEngine):
             mode=self.mode, tier_up_threshold=self.tier_up_threshold,
             lint=self.lint, elide_bounds_checks=self.elide_bounds_checks,
             fault_injector=self.fault_injector,
-            tier_plan=self.tier_plan,
             trace=trace,
         ))
         memory = LinearMemory(space)

@@ -1,12 +1,11 @@
-"""Feedback-driven adaptivity: measure, remember, re-plan, re-route.
+"""Feedback-driven re-planning: measure, remember, re-plan.
 
-The paper's engine adapts *within* one execution (morsel-wise tier-up).
-This package closes the loop *across* executions: a
-:class:`FeedbackStore` records what each run of a cached statement
-actually measured, detects misestimates by Q-Error, and drives two
-mechanisms the next compilation consumes — re-planning with observed
-cardinalities (:class:`~repro.plan.cardinality.ObservedCardinalities`)
-and per-pipeline hybrid engine routing (``EngineConfig.tier_plan``).
+The paper's engine adapts *within* one execution (morsel-wise tier-up);
+which tier runs a pipeline is decided there and nowhere else.  This
+package closes one loop *across* executions: a :class:`FeedbackStore`
+records what the last run of a cached statement actually measured,
+detects misestimates by Q-Error, and asks for one re-plan with observed
+cardinalities (:class:`~repro.plan.cardinality.ObservedCardinalities`).
 """
 
 from repro.feedback.harvest import observation_from_engine

@@ -31,7 +31,6 @@ __all__ = ["observation_from_engine"]
 
 
 def observation_from_engine(engine, plan, fp: str, catalog_version: int,
-                            engine_spec: str,
                             parameterized: bool = False,
                             ) -> QueryObservation | None:
     """Build a :class:`QueryObservation` from the engine's last run.
@@ -55,13 +54,9 @@ def observation_from_engine(engine, plan, fp: str, catalog_version: int,
     for stat, pipeline in zip(stats, pipelines):
         info = _classify(pipeline)
         observation = PipelineObservation(
-            index=stat["index"],
             function=stat["function"],
             estimated_rows=estimated_rows_out(pipeline),
-            rows_in=stat["rows_in"],
             rows_out=stat["rows_out"],
-            morsels=stat["morsels"],
-            seconds=stat["seconds"],
             binding=info["binding"],
             join_key=info["join_key"],
             comparable=info["comparable"],
@@ -73,12 +68,9 @@ def observation_from_engine(engine, plan, fp: str, catalog_version: int,
     return QueryObservation(
         fingerprint=fp,
         catalog_version=catalog_version,
-        engine_spec=engine_spec,
-        mode=getattr(engine, "mode", None),
         pipelines=observed,
         root_rows=root_rows,
         parameterized=parameterized,
-        seconds=sum(s["seconds"] for s in stats),
     )
 
 

@@ -1,39 +1,31 @@
-"""The runtime statistics store behind feedback-driven adaptivity.
+"""The runtime statistics store behind feedback-driven re-planning.
 
 The compiling engine already *measures* everything interesting about a
-query it runs — per-pipeline input and output cardinalities, morsel
-counts, wall-clock per pipeline — and then throws it away.  This module
-keeps it.  A :class:`FeedbackStore` records one
-:class:`QueryObservation` per execution, keyed exactly like the plan
-cache (statement fingerprint x catalog version: any DDL or INSERT bumps
-the version, so per-version observations describe frozen data), and
-turns the history into three kinds of decisions:
+query it runs — per-pipeline output cardinalities — and then throws it
+away.  This module keeps the last measurement.  A :class:`FeedbackStore`
+records one :class:`QueryObservation` per execution, keyed exactly like
+the plan cache (statement fingerprint x catalog version: any DDL or
+INSERT bumps the version, so per-version observations describe frozen
+data), and turns it into one decision:
 
 * **Q-Error re-optimization** — the classic estimation-quality metric
   ``max(est/meas, meas/est)`` per pipeline.  When the worst pipeline's
   Q-Error crosses ``FeedbackConfig.q_error_threshold`` the store asks
-  the service to *invalidate* the cached plan; the next lookup re-plans
-  with the measured cardinalities injected as
+  the service to *re-plan* the cached statement with the measured
+  cardinalities injected as
   :class:`~repro.plan.cardinality.ObservedCardinalities` seeds (join
   ordering, analysis row bounds, heap sizing all consume them).
-* **Hybrid routing** — per-pipeline engine choice.  Pipelines that
-  drive only a few hundred input rows never amortize codegen and are
-  pinned to the interpretive tier; pipelines measured hot skip the
-  stencil warmup and enter the ladder at Liftoff.  The route is a
-  ``tier_plan`` dict the Wasm engine applies per function.
-* **Observability** — ``feedback_*`` metrics and the ``feedback:``
-  lines EXPLAIN ANALYZE renders, so both mechanisms are visible per
-  query.
 
-Replanning and rerouting each fire at most **once** per (fingerprint,
-catalog version): the first execution after either decision produces a
-new compiled entry, and flapping between plans would throw away warm
-tier state for nothing.  The two decisions are sequenced — a replan
-resets the routing samples, because routes are keyed by the plan's
-positional pipeline functions and measurements of the dead plan would
-route the wrong pipelines — so a misestimated statement replans first
-and reroutes from fresh measurements of the corrected plan.  The store is thread-safe — the service records
-observations from concurrently running queries.
+``feedback_*`` metrics and the ``feedback:`` lines EXPLAIN ANALYZE
+renders make the mechanism visible per query.
+
+A re-plan fires at most **once** per (fingerprint, catalog version):
+the first execution after it produces a new compiled entry, and
+flapping between plans would throw away warm tier state for nothing.
+Which *tier* runs a pipeline is not decided here — that is the engine's
+own morsel-wise ladder (:data:`repro.wasm.runtime.engine.TIER_LADDERS`).
+The store is thread-safe — the service records observations from
+concurrently running queries.
 """
 
 from __future__ import annotations
@@ -55,10 +47,6 @@ __all__ = [
     "q_error",
 ]
 
-#: Engine modes whose compiled entries accept a per-function tier plan.
-_ROUTABLE_MODES = ("adaptive", "adaptive_stencil")
-
-
 def q_error(estimated: float, measured: float) -> float:
     """The Q-Error of one cardinality estimate: ``max(e/m, m/e)``.
 
@@ -78,28 +66,15 @@ class FeedbackConfig:
 
     Args:
         q_error_threshold: worst per-pipeline Q-Error at or above which
-            the cached plan is invalidated and re-planned with measured
-            cardinalities.  ``None`` disables re-optimization.
-        interp_rows_max: a pipeline whose mean measured input is at most
-            this many rows is routed to the interpretive tier (codegen
-            never amortizes).  ``0`` disables interp routing.
-        liftoff_entry_rows: a pipeline whose mean measured input is at
-            least this many rows enters the ladder at Liftoff, skipping
-            the stencil warmup morsels.  ``None`` disables.
-        history: observations kept per (fingerprint, catalog version).
-        min_observations: executions observed before routing decisions
-            fire (re-optimization always fires on the first execution
-            that proves the estimate wrong — waiting would just run the
-            bad plan again).
+            the cached plan is re-planned with measured cardinalities —
+            on the first execution that proves the estimate wrong
+            (waiting would just run the bad plan again).  ``None``
+            disables re-optimization.
         max_fingerprints: bound on tracked (fingerprint, version) pairs;
             least-recently-recorded entries are evicted beyond it.
     """
 
     q_error_threshold: float | None = 4.0
-    interp_rows_max: int = 512
-    liftoff_entry_rows: int | None = 65536
-    history: int = 8
-    min_observations: int = 1
     max_fingerprints: int = 256
 
     def __post_init__(self):
@@ -109,10 +84,6 @@ class FeedbackConfig:
                 f"q_error_threshold must be >= 1.0 (1.0 is a perfect "
                 f"estimate), got {self.q_error_threshold!r}"
             )
-        if self.history < 1:
-            raise ConfigError("history must be >= 1")
-        if self.min_observations < 1:
-            raise ConfigError("min_observations must be >= 1")
         if self.max_fingerprints < 1:
             raise ConfigError("max_fingerprints must be >= 1")
 
@@ -124,19 +95,15 @@ class PipelineObservation:
     ``estimated_rows`` is the planner's prediction of this pipeline's
     output (see :func:`~repro.plan.pipeline.estimated_rows_out` — for a
     group-by sink it predicts *groups*, matching what the engine
-    measures).  The three seed slots say what the measurement is valid
+    measures).  The seed slots say what the measurement is valid
     evidence *for*; ``None`` means the pipeline's shape makes it
     unusable as that kind of seed (a LIMIT truncated it, a group-by
     counted groups rather than input, ...).
     """
 
-    index: int
     function: str
     estimated_rows: float
-    rows_in: int
     rows_out: int
-    morsels: int = 0
-    seconds: float = 0.0
     #: ``rows_out`` is the post-filter cardinality of this scan binding.
     binding: str | None = None
     #: ``rows_out`` is the output cardinality of the join over exactly
@@ -156,10 +123,6 @@ class QueryObservation:
 
     fingerprint: str
     catalog_version: int
-    engine_spec: str
-    #: the engine's tiering mode (``"adaptive_stencil"``, ...) — decides
-    #: whether a tier plan can route this statement at all.
-    mode: str | None
     pipelines: list[PipelineObservation] = field(default_factory=list)
     #: measured result cardinality (``None`` when a LIMIT truncated it).
     root_rows: float | None = None
@@ -167,7 +130,6 @@ class QueryObservation:
     #: their measurements may seed the (perf-only) optimizer but never
     #: the analysis row bounds.
     parameterized: bool = False
-    seconds: float = 0.0
 
     @property
     def worst_q_error(self) -> float:
@@ -189,12 +151,9 @@ class QueryObservation:
 class FeedbackDecision:
     """What the store wants done after recording one observation."""
 
-    #: evict the plan-cache entry so the next lookup recompiles.
-    invalidate: bool = False
-    #: the recompile should re-plan with observed cardinality seeds.
+    #: rebuild the cached entry, re-planned with observed cardinality
+    #: seeds.
     replan: bool = False
-    #: the recompile should apply a per-pipeline tier plan.
-    reroute: bool = False
     #: the worst per-pipeline Q-Error of the recorded execution.
     q_error: float = 1.0
     #: the pipeline function with that worst Q-Error (when comparable).
@@ -204,19 +163,11 @@ class FeedbackDecision:
 class _Tracked:
     """Mutable per-(fingerprint, version) state; guarded by the store."""
 
-    __slots__ = ("observations", "route_samples", "replanned", "rerouted",
-                 "route", "executions")
+    __slots__ = ("last", "replanned", "executions")
 
-    def __init__(self):
-        self.observations: list[QueryObservation] = []
-        #: observations measured against the *current* plan shape —
-        #: reset on replan, because routes are keyed by the plan's
-        #: positional pipeline functions and old measurements describe
-        #: pipelines that no longer exist
-        self.route_samples: list[QueryObservation] = []
+    def __init__(self, last: QueryObservation):
+        self.last = last
         self.replanned = False
-        self.rerouted = False
-        self.route: dict | None = None
         self.executions = 0
 
 
@@ -236,10 +187,6 @@ class FeedbackStore:
             "feedback_replans_total",
             "Plans invalidated for Q-Error re-optimization",
         )
-        self._reroutes = registry.counter(
-            "feedback_reroutes_total",
-            "Plans invalidated for hybrid tier rerouting",
-        )
         self._q_error = registry.histogram(
             "feedback_q_error",
             "Worst per-pipeline Q-Error per recorded execution",
@@ -250,11 +197,9 @@ class FeedbackStore:
     def record(self, observation: QueryObservation) -> FeedbackDecision:
         """Record one execution; returns what should happen next.
 
-        ``invalidate`` asks the caller to evict the statement's plan-
-        cache entry so the *next* lookup recompiles — with observed-
-        cardinality seeds (``replan``), a per-pipeline tier plan
-        (``reroute``), or both.  Each fires at most once per
-        (fingerprint, catalog version).
+        ``replan`` asks the caller to rebuild the statement's plan-cache
+        entry with observed-cardinality seeds.  It fires at most once
+        per (fingerprint, catalog version).
         """
         decision = FeedbackDecision(q_error=observation.worst_q_error)
         for pipeline in observation.pipelines:
@@ -266,15 +211,12 @@ class FeedbackStore:
         with self._lock:
             tracked = self._tracked.get(key)
             if tracked is None:
-                tracked = self._tracked[key] = _Tracked()
+                tracked = self._tracked[key] = _Tracked(observation)
             self._tracked.move_to_end(key)
             while len(self._tracked) > self.config.max_fingerprints:
                 self._tracked.popitem(last=False)
             tracked.executions += 1
-            tracked.observations.append(observation)
-            del tracked.observations[:-self.config.history]
-            tracked.route_samples.append(observation)
-            del tracked.route_samples[:-self.config.history]
+            tracked.last = observation
 
             threshold = self.config.q_error_threshold
             if (threshold is not None and not tracked.replanned
@@ -282,28 +224,10 @@ class FeedbackStore:
                     and bool(observation.seeds())):
                 tracked.replanned = True
                 decision.replan = True
-                # the rebuild re-plans: this observation's per-pipeline
-                # measurements describe a plan that is about to die
-                tracked.route_samples = []
-
-            route = None
-            if (not tracked.rerouted
-                    and observation.mode in _ROUTABLE_MODES
-                    and len(tracked.route_samples)
-                    >= self.config.min_observations):
-                route = self._route(tracked.route_samples,
-                                    observation.mode)
-                if route:
-                    tracked.rerouted = True
-                    tracked.route = route
-                    decision.reroute = True
-            decision.invalidate = decision.replan or decision.reroute
         self._observations.inc()
         self._q_error.observe(decision.q_error)
         if decision.replan:
             self._replans.inc()
-        if decision.reroute:
-            self._reroutes.inc()
         return decision
 
     # -- what the next compilation consumes --------------------------------
@@ -314,87 +238,33 @@ class FeedbackStore:
         version, or ``None`` until :meth:`record` decided to re-plan.
 
         Seeds are gated on the replan decision rather than mere
-        existence: a reroute-only rebuild must recompile the *same*
-        plan (its route is keyed by the plan's positional pipeline
-        functions), and a plan whose estimates were fine keeps its
+        existence: a plan whose estimates were fine keeps its
         estimates."""
         with self._lock:
             tracked = self._tracked.get((fp, catalog_version))
-            if (tracked is None or not tracked.replanned
-                    or not tracked.observations):
+            if tracked is None or not tracked.replanned:
                 return None
-            seeds = tracked.observations[-1].seeds()
+            seeds = tracked.last.seeds()
             return seeds if seeds else None
-
-    def tier_plan(self, fp: str, catalog_version: int,
-                  mode: str | None) -> dict | None:
-        """The per-pipeline-function tier routing for ``fp``, or ``None``.
-
-        Non-empty only after :meth:`record` decided to reroute; the
-        service applies it to the engine before ``prepare_executable``.
-        """
-        if mode not in _ROUTABLE_MODES:
-            return None
-        with self._lock:
-            tracked = self._tracked.get((fp, catalog_version))
-            if tracked is None or not tracked.rerouted:
-                return None
-            return dict(tracked.route) if tracked.route else None
-
-    def _route(self, observations: list, mode: str) -> dict:
-        """The routing policy: mean measured input rows per pipeline.
-
-        Tiny pipelines go interpretive (compilation never pays for a
-        few hundred rows); hot pipelines enter at Liftoff instead of
-        warming up through stencil morsels (only meaningful when the
-        mode's default ladder starts at the stencil tier).  Everything
-        in between keeps the default ladder and is left out of the
-        plan.  Caller holds the lock.
-        """
-        totals: dict[str, list] = {}
-        for observation in observations:
-            for pipeline in observation.pipelines:
-                totals.setdefault(pipeline.function, []).append(
-                    pipeline.rows_in
-                )
-        route = {}
-        for function, rows in totals.items():
-            mean = sum(rows) / len(rows)
-            if self.config.interp_rows_max \
-                    and mean <= self.config.interp_rows_max:
-                route[function] = ("interp",)
-            elif (self.config.liftoff_entry_rows is not None
-                    and mode == "adaptive_stencil"
-                    and mean >= self.config.liftoff_entry_rows):
-                route[function] = ("liftoff", "turbofan")
-        return route
 
     # -- observability -----------------------------------------------------
 
     def explain_lines(self, fp: str, catalog_version: int) -> list[str]:
         """``feedback:`` lines for EXPLAIN ANALYZE — the statement's
-        recorded history and the decisions in force."""
+        last observation and the decision in force."""
         with self._lock:
             tracked = self._tracked.get((fp, catalog_version))
-            if tracked is None or not tracked.observations:
+            if tracked is None:
                 return []
-            last = tracked.observations[-1]
             lines = [
                 f"feedback: observations={tracked.executions} "
-                f"q_error={last.worst_q_error:.2f}"
+                f"q_error={tracked.last.worst_q_error:.2f}"
             ]
             if tracked.replanned:
                 lines.append(
                     "feedback: re-planned with observed cardinalities "
-                    f"({last.seeds().describe()})"
+                    f"({tracked.last.seeds().describe()})"
                 )
-            if tracked.rerouted and tracked.route:
-                for function in sorted(tracked.route):
-                    ladder = tracked.route[function]
-                    lines.append(
-                        f"feedback: route {function} -> "
-                        + "/".join(ladder)
-                    )
             return lines
 
     def stats(self) -> dict:
@@ -402,15 +272,12 @@ class FeedbackStore:
         with self._lock:
             fingerprints = {}
             for (fp, version), tracked in self._tracked.items():
-                last = tracked.observations[-1] \
-                    if tracked.observations else None
                 fingerprints[f"{fp} @v{version}"] = {
                     "executions": tracked.executions,
-                    "q_error": last.worst_q_error if last else None,
+                    "q_error": tracked.last.worst_q_error,
                     "replanned": tracked.replanned,
-                    "rerouted": tracked.rerouted,
-                    "route": {f: "/".join(ladder) for f, ladder in
-                              (tracked.route or {}).items()},
+                    # always empty; benchmarks/ledger/layers.py reads it
+                    "route": {},
                 }
             return {
                 "tracked": len(self._tracked),

@@ -122,8 +122,8 @@ def render_explain_analyze(plan, trace, stats: list[PipelineStats],
     ``"hit"`` or ``"miss"`` — when the query ran through the query
     service; ``None`` (standalone execution) omits the line.
     ``feedback_lines`` are the feedback store's ``feedback:`` lines for
-    this statement (observation count, worst Q-Error, re-plan and
-    routing decisions in force), rendered after the tier summary.
+    this statement (observation count, worst Q-Error, the re-plan
+    decision in force), rendered after the tier summary.
     """
     from repro.plan.physical import explain_physical
 

@@ -1,12 +1,9 @@
 """Bottom-up column-fact dataflow over the logical plan.
 
-The relational analogue of :func:`repro.wasm.analysis.dataflow.solve_forward`:
-operators are solved with a worklist, revisits join states on the fact
-lattice, and a visit budget guards against non-convergence (raising the
-same :class:`~repro.wasm.analysis.dataflow.FixpointLimit`).  A logical
-plan is a tree, so the solver converges in one postorder sweep — the
-worklist machinery keeps the design uniform with the Wasm layer and
-stays correct if DAG-shaped plans (shared subplans) ever appear.
+The relational analogue of :func:`repro.wasm.analysis.dataflow.solve_forward`
+without its fixpoint machinery: a logical plan is a tree, so one
+postorder fold of the transfer function solves every operator exactly
+once.
 
 Facts start at table scans, seeded from catalog statistics (min/max are
 exact storage-domain bounds computed from the stored NumPy columns),
@@ -24,7 +21,6 @@ from repro.plan import logical as L
 from repro.plan.analysis.facts import ColumnFact, RelationFacts
 from repro.plan.analysis.predicates import refine_facts
 from repro.sql import ast
-from repro.wasm.analysis.dataflow import FixpointLimit
 
 __all__ = ["PlanAnalysis", "analyze_plan", "seed_scan_facts"]
 
@@ -77,7 +73,6 @@ class PlanAnalysis:
 
 
 def analyze_plan(root: L.LogicalOperator, catalog,
-                 max_visits_per_op: int = 16,
                  observed=None) -> PlanAnalysis:
     """Run the fact dataflow over ``root`` and return its analysis.
 
@@ -100,39 +95,16 @@ def analyze_plan(root: L.LogicalOperator, catalog,
         }
         if observed.root_rows is not None:
             observed_root = max(int(observed.root_rows), 1)
+    # a logical plan is a tree: one postorder sweep solves every
+    # operator after its children
     order = _postorder(root)
-    index = {id(op): i for i, op in enumerate(order)}
-    states: list[RelationFacts | None] = [None] * len(order)
-    visits = [0] * len(order)
-    parents = {}
+    states: dict[int, RelationFacts] = {}
     for op in order:
-        for child in op.children:
-            parents[id(child)] = index[id(op)]
-
-    worklist = list(range(len(order)))
-    while worklist:
-        i = worklist.pop(0)
-        visits[i] += 1
-        if visits[i] > max_visits_per_op:
-            raise FixpointLimit(
-                f"plan analysis exceeded {max_visits_per_op} visits "
-                f"of {type(order[i]).__name__}"
-            )
-        op = order[i]
-        children = [states[index[id(c)]] for c in op.children]
-        if any(c is None for c in children):
-            continue  # scheduled again when the child first resolves
-        new = _transfer(op, children, catalog, observed_rows)
-        if states[i] is not None:
-            new = states[i].join(new)
-        if new == states[i]:
-            continue
-        states[i] = new
-        parent = parents.get(id(op))
-        if parent is not None and parent not in worklist:
-            worklist.append(parent)
-
-    root_facts = states[index[id(root)]]
+        states[id(op)] = _transfer(
+            op, [states[id(child)] for child in op.children],
+            catalog, observed_rows,
+        )
+    root_facts = states[id(root)]
     if observed_root is not None and not root_facts.proven_empty:
         if root_facts.row_bound is None \
                 or observed_root < root_facts.row_bound:

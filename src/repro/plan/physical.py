@@ -15,6 +15,7 @@ group-by, scalar aggregation, sort, and limit.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 from repro.catalog.catalog import Catalog
@@ -257,8 +258,19 @@ def _make_resolver(output: list[OutputColumn]):
 def _substitute_matches(expr: ast.Expr, output: list[OutputColumn]) -> ast.Expr:
     """Replace subtrees matching a child output column (by structural
     key) with a reference to that column.  Enables SELECT/HAVING/ORDER
-    expressions over aggregation results."""
+    expressions over aggregation results.
+
+    Returns a rewritten copy — only nodes on the path to a substituted
+    subtree are copied — and leaves ``expr`` untouched: the analyzed
+    AST is planned again after a catalog bump (prepared statements) or
+    a feedback re-plan.
+    """
     by_key = {col.key: col for col in output if col.key is not None}
+
+    def unchanged(new, old) -> bool:
+        if isinstance(new, (list, tuple)):
+            return all(unchanged(n, o) for n, o in zip(new, old))
+        return new is old
 
     def rewrite(node: ast.Expr) -> ast.Expr:
         col = by_key.get(_expr_key(node))
@@ -268,30 +280,33 @@ def _substitute_matches(expr: ast.Expr, output: list[OutputColumn]) -> ast.Expr:
             ref.ty = col.ty
             return ref
         if isinstance(node, ast.Unary):
-            node.operand = rewrite(node.operand)
+            new = {"operand": rewrite(node.operand)}
         elif isinstance(node, ast.Binary):
-            node.left = rewrite(node.left)
-            node.right = rewrite(node.right)
+            new = {"left": rewrite(node.left), "right": rewrite(node.right)}
         elif isinstance(node, ast.Between):
-            node.expr = rewrite(node.expr)
-            node.low = rewrite(node.low)
-            node.high = rewrite(node.high)
+            new = {"expr": rewrite(node.expr), "low": rewrite(node.low),
+                   "high": rewrite(node.high)}
         elif isinstance(node, ast.InList):
-            node.expr = rewrite(node.expr)
-            node.items = [rewrite(i) for i in node.items]
-        elif isinstance(node, ast.Like):
-            node.expr = rewrite(node.expr)
+            new = {"expr": rewrite(node.expr),
+                   "items": [rewrite(i) for i in node.items]}
+        elif isinstance(node, (ast.Like, ast.Cast)):
+            new = {"expr": rewrite(node.expr)}
         elif isinstance(node, ast.CaseWhen):
-            node.whens = [(rewrite(c), rewrite(r)) for c, r in node.whens]
-            if node.else_ is not None:
-                node.else_ = rewrite(node.else_)
+            new = {"whens": [(rewrite(c), rewrite(r))
+                             for c, r in node.whens],
+                   "else_": None if node.else_ is None
+                   else rewrite(node.else_)}
         elif isinstance(node, ast.FuncCall):
-            node.args = [
-                a if isinstance(a, ast.Star) else rewrite(a)
-                for a in node.args
-            ]
-        elif isinstance(node, ast.Cast):
-            node.expr = rewrite(node.expr)
+            new = {"args": [a if isinstance(a, ast.Star) else rewrite(a)
+                            for a in node.args]}
+        else:
+            return node
+        if all(unchanged(value, getattr(node, name))
+               for name, value in new.items()):
+            return node
+        node = copy.copy(node)
+        for name, value in new.items():
+            setattr(node, name, value)
         return node
 
     return rewrite(expr)

@@ -106,13 +106,8 @@ class CacheEntry:
     #: carries the pickled worker plan, so dispatching a hit re-pickles
     #: nothing
     parallel_decision: object = None
-    #: feedback bookkeeping: whether this compilation was re-planned
-    #: with observed cardinality seeds, the per-pipeline tier routing it
-    #: was compiled under (``None`` for the default ladder), and whether
-    #: the statement carries ``$n`` parameters (whose measured
+    #: whether the statement carries ``$n`` parameters (whose measured
     #: cardinalities vary per binding and must not seed row bounds)
-    feedback_seeded: bool = False
-    feedback_route: dict | None = None
     parameterized: bool = False
 
 
@@ -188,18 +183,6 @@ class PlanCache:
                 self._counts["evictions"] += 1
                 self._evictions.inc()
             return entry
-
-    def remove(self, key: tuple) -> bool:
-        """Drop one entry (feedback re-optimization: a plan whose
-        cardinality estimates proved badly wrong is evicted so the next
-        lookup re-plans with the measured rows).  Counted as an
-        invalidation.  Returns whether the key was present."""
-        with self._lock:
-            if self._entries.pop(key, None) is None:
-                return False
-            self._counts["invalidations"] += 1
-            self._invalidations.inc()
-            return True
 
     def invalidate(self, current_version: int) -> int:
         """Purge entries compiled against any older catalog version.

@@ -41,6 +41,7 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import count
 
 from repro.db.database import Database
@@ -56,7 +57,6 @@ from repro.errors import (
     QueryCancelled,
     ServiceError,
     SessionError,
-    WorkerError,
 )
 from repro.observability.explain import (
     pipeline_stats_from_trace,
@@ -177,11 +177,10 @@ class QueryService:
         feedback: the feedback-driven adaptivity loop
             (:mod:`repro.feedback`) — every in-process Wasm execution
             is recorded; misestimated plans (Q-Error past the
-            threshold) are invalidated and re-planned with measured
-            cardinalities, and pipelines are re-routed between the
-            interpretive tier and the Wasm ladder.  ``True`` (default)
-            uses :class:`~repro.feedback.FeedbackConfig` defaults; pass
-            a config to tune thresholds or ``False`` to disable.
+            threshold) are re-planned once with measured
+            cardinalities.  ``True`` (default) uses
+            :class:`~repro.feedback.FeedbackConfig` defaults; pass a
+            config to tune the threshold or ``False`` to disable.
         workers: worker processes for multi-core execution of Wasm
             queries (``QueryService(workers=4)``); ``0`` keeps
             everything in-process.  Eligible SELECTs are partitioned
@@ -569,11 +568,20 @@ class QueryService:
                         engine.deadline = deadline
                         engine.cancel_token = token
                     with entry.lock:
-                        result = self._dispatch_parallel(
-                            entry, fp, spec, ticket, qtrace,
-                            deadline=deadline, token=token,
-                            param_values=param_values,
-                        )
+                        result = None
+                        if entry.parallel_decision is not None:
+                            # through the scheduler: a parallel query
+                            # passes the same fair turnstile (and
+                            # cancellation check) as everyone else
+                            result = self.db._try_parallel(
+                                entry.plan, spec, qtrace, fp=fp,
+                                decision=entry.parallel_decision,
+                                params=param_values, deadline=deadline,
+                                cancel_token=token,
+                                dispatcher=partial(
+                                    self.scheduler.dispatch, ticket,
+                                    self.db.parallel.pool.run_tasks),
+                            )
                         if result is None and entry.executable is None \
                                 and entry.parallel_decision is not None \
                                 and hasattr(engine, "prepare_executable"):
@@ -626,47 +634,6 @@ class QueryService:
             trace=qtrace,
         )
 
-    def _dispatch_parallel(self, entry: CacheEntry, fp: str, spec: str,
-                           ticket, qtrace, deadline=None, token=None,
-                           param_values=None):
-        """Run this entry's plan on the worker pool, or return ``None``
-        to run in-process.
-
-        Dispatch goes through :meth:`MorselScheduler.dispatch`, so a
-        parallel query passes the same fair turnstile (and cancellation
-        check) as everyone else.  The plan-cache fingerprint keys the
-        workers' executable caches — a repeated statement compiles once
-        *per worker*, then every partition is a warm
-        ``_reset_instance`` run.  Pool-level failures degrade to the
-        in-process path (``parallel.degraded`` trace event); real query
-        errors propagate with their original types.
-        """
-        decision = entry.parallel_decision
-        executor = self.db.parallel
-        if (decision is None or decision.mode == "local"
-                or executor is None or not executor.healthy):
-            return None
-
-        def dispatch(tasks, **kwargs):
-            return self.scheduler.dispatch(ticket, executor.pool.run_tasks,
-                                           tasks, **kwargs)
-
-        try:
-            return executor.execute(
-                entry.plan, self.db.catalog, spec,
-                decision=decision, fp=fp, params=param_values,
-                deadline=deadline, cancel_token=token, trace=qtrace,
-                dispatcher=dispatch,
-            )
-        except WorkerError as err:
-            trace_event(qtrace, "parallel.degraded",
-                        error=type(err).__name__, message=str(err))
-            get_registry().counter(
-                "parallel_degraded_total",
-                "Parallel dispatches degraded to in-process execution",
-            ).inc()
-            return None
-
     def _cached_entry(self, fp: str, select: ast.Select, spec: str, qtrace,
                       analyzed: bool = True):
         """Look up — or compile and insert — the entry for this query.
@@ -697,9 +664,8 @@ class QueryService:
         """Plan (and for Wasm specs compile) one fresh cache entry.
 
         ``select`` must already be analyzed.  Consults the feedback
-        store: measured cardinalities of earlier executions seed the
-        optimizer/analysis, and a rerouted statement compiles under its
-        per-pipeline tier plan.  Caller holds the state read lock.
+        store: once it asked for a re-plan, the measured cardinalities
+        seed the optimizer/analysis.  Caller holds the state read lock.
         """
         seeds = None
         if self.feedback is not None:
@@ -728,20 +694,6 @@ class QueryService:
                 engine.mode = "liftoff"
                 trace_event(qtrace, "breaker.degraded", engine=spec,
                             state=self.breakers.state(fp))
-        route = None
-        if (self.feedback is not None and not tier_degraded
-                and hasattr(engine, "prepare_executable")):
-            # hybrid routing: the feedback router's per-pipeline tier
-            # ladders (a breaker-degraded compile is pinned to Liftoff
-            # wholesale and takes precedence)
-            route = self.feedback.tier_plan(
-                fp, self.db.catalog.version, getattr(engine, "mode", None)
-            )
-            if route:
-                engine.tier_plan = route
-                trace_event(qtrace, "feedback.routed", engine=spec,
-                            route={f: "/".join(ladder)
-                                   for f, ladder in sorted(route.items())})
         if hasattr(engine, "prepare_executable") and not dispatchable:
             # a dispatchable plan compiles in the *workers* (keyed by
             # this entry's fingerprint); the driver-side executable is
@@ -756,8 +708,6 @@ class QueryService:
                           breaker_pending=(executable is not None
                                            and not tier_degraded),
                           parallel_decision=decision,
-                          feedback_seeded=seeds is not None,
-                          feedback_route=route,
                           parameterized=bool(collect_params(plan)))
 
     def _note_tier_outcome(self, fp: str, entry: CacheEntry,
@@ -790,16 +740,15 @@ class QueryService:
         """Record this execution's measurements in the feedback store.
 
         When the store decides the plan is misestimated (Q-Error past
-        the threshold) or should be re-routed, the entry is *rebuilt in
-        place* under the entry lock it already holds: re-planned with
-        the observed cardinality seeds and recompiled under the
-        per-pipeline tier plan.  The very next lookup is still a cache
+        the threshold), the entry is *rebuilt in place* under the entry
+        lock it already holds: re-planned with the observed cardinality
+        seeds and recompiled.  The very next lookup is still a cache
         hit — it just runs the re-optimized executable.  (Threads
         already waiting on the entry lock pick up the new executable
         when they acquire it.)
         """
         observation = observation_from_engine(
-            engine, entry.plan, fp, entry.catalog_version, spec,
+            engine, entry.plan, fp, entry.catalog_version,
             parameterized=entry.parameterized,
         )
         if observation is None:
@@ -808,14 +757,11 @@ class QueryService:
         trace_event(qtrace, "feedback.observed",
                     q_error=round(decision.q_error, 3),
                     pipelines=len(observation.pipelines))
-        if not decision.invalidate:
+        if not decision.replan:
             return
-        if decision.replan:
-            trace_event(qtrace, "feedback.reoptimize",
-                        q_error=round(decision.q_error, 3),
-                        pipeline=decision.pipeline)
-        if decision.reroute:
-            trace_event(qtrace, "feedback.reroute")
+        trace_event(qtrace, "feedback.reoptimize",
+                    q_error=round(decision.q_error, 3),
+                    pipeline=decision.pipeline)
         if not analyzed:
             with trace_span(qtrace, "analyze"):
                 analyze(select, self.db.catalog)
@@ -827,8 +773,6 @@ class QueryService:
         entry.tier_degraded = fresh.tier_degraded
         entry.breaker_pending = fresh.breaker_pending
         entry.bailouts_recorded = 0
-        entry.feedback_seeded = fresh.feedback_seeded
-        entry.feedback_route = fresh.feedback_route
         entry.parameterized = fresh.parameterized
 
     # -- EXPLAIN -----------------------------------------------------------

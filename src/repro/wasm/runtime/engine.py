@@ -67,16 +67,6 @@ TIER_LADDERS = {
 #: The valid linter modes of :attr:`EngineConfig.lint`.
 LINT_MODES = ("off", "warn", "strict")
 
-#: The ladders :attr:`EngineConfig.tier_plan` may assign per function.
-#: Restricting to these keeps the existing tier-up triggers exact: a
-#: stencil entry promotes through Liftoff toward TurboFan, a Liftoff
-#: entry promotes to TurboFan, and an interpreter entry is pinned.
-_ROUTABLE_LADDERS = {
-    ("interp",),
-    ("liftoff", "turbofan"),
-    ("stencil", "liftoff", "turbofan"),
-}
-
 
 @dataclass
 class EngineConfig:
@@ -102,16 +92,6 @@ class EngineConfig:
     #: Optional :class:`~repro.observability.QueryTrace`; when set, the
     #: engine records validate/lint/compile spans and tier-up events.
     trace: object = None
-    #: Per-function tier routing (the feedback subsystem's hybrid
-    #: router): export name -> the ladder that function climbs instead
-    #: of the mode's default.  ``("interp",)`` pins a function to the
-    #: interpretive tier (short scans where codegen never pays off);
-    #: ``("liftoff", "turbofan")`` enters at Liftoff (known-hot
-    #: pipelines skip the stencil warmup); ``("stencil", "liftoff",
-    #: "turbofan")`` is the full stencil ladder.  Unnamed functions
-    #: (helpers, ``init``, other pipelines) keep the mode's ladder.
-    #: Only meaningful for the adaptive modes.
-    tier_plan: dict = None
 
     def __post_init__(self):
         if self.mode not in ENGINE_MODES:
@@ -133,18 +113,6 @@ class EngineConfig:
                 f"elide_bounds_checks must be a bool, "
                 f"got {self.elide_bounds_checks!r}"
             )
-        if self.tier_plan:
-            if self.mode not in ("adaptive", "adaptive_stencil"):
-                raise ConfigError(
-                    f"tier_plan requires an adaptive mode, "
-                    f"got mode={self.mode!r}"
-                )
-            for name, ladder in self.tier_plan.items():
-                if tuple(ladder) not in _ROUTABLE_LADDERS:
-                    raise ConfigError(
-                        f"tier_plan[{name!r}] must be one of "
-                        f"{sorted(_ROUTABLE_LADDERS)}, got {ladder!r}"
-                    )
 
     @property
     def tier_ladder(self) -> tuple[str, ...]:
@@ -362,10 +330,6 @@ class Engine:
 
         instrumented = instance.profile is not None
         injector = self.config.fault_injector
-        if self.config.tier_plan and mode in ("adaptive",
-                                              "adaptive_stencil"):
-            self._compile_routed(instance)
-            return
 
         if mode == "turbofan":
             compiler = TurboFanCompiler(
@@ -442,19 +406,24 @@ class Engine:
             for i in range(len(module.functions)):
                 self._install_tier_up_trigger(instance, n_imports + i)
 
-    def _stencil_artifacts(self, instance: Instance):
-        """Assemble (or fetch) the module's stencil artifacts.
+    def _compile_stencil(self, instance: Instance) -> bool:
+        """Bind tier-0 stencil code to every function; False to decline.
 
-        Served from the process-wide shape-keyed cache
+        Assembly is served from the process-wide shape-keyed cache
         (:mod:`repro.wasm.stencil.cache`), so a structurally familiar
         module skips even the (cheap) assembly pass.  Any failure — an
         op without a stencil, an injected ``stencil.assemble`` fault —
-        declines the whole module with ``None`` and the caller lands on
-        the Liftoff path: tier-0 is an optimization, never a failure
-        mode.  Updates the instance's stencil timing/cache stats; the
-        caller accounts the functions it actually binds.
+        declines the whole module and the caller lands on the Liftoff
+        path: tier-0 is an optimization, never a failure mode.
+
+        Instrumented (profiling) runs assemble stencils too: the bound
+        dispatch loop counts its executed stencils into the profile
+        (see :meth:`~repro.wasm.stencil.assemble.StencilFunction.bind`),
+        so the cost model sees tier-0 work instead of tier-0 silently
+        declining to Liftoff.
         """
         module = instance.module
+        n_imports = len(module.imports)
         trace = self.config.trace
         stats = instance.stats
         injector = self.config.fault_injector
@@ -476,100 +445,18 @@ class Engine:
                 "engine_stencil_fallbacks_total",
                 "Stencil assemblies that fell back to Liftoff",
             ).inc()
-            return None
+            return False
         stats.stencil_seconds += time.perf_counter() - start
         if hit:
             stats.stencil_cache_hits += 1
         else:
             stats.stencil_cache_misses += 1
-        return artifacts
-
-    def _compile_stencil(self, instance: Instance) -> bool:
-        """Bind tier-0 stencil code to every function; False to decline.
-
-        Instrumented (profiling) runs assemble stencils too: the bound
-        dispatch loop counts its executed stencils into the profile
-        (see :meth:`~repro.wasm.stencil.assemble.StencilFunction.bind`),
-        so the cost model sees tier-0 work instead of tier-0 silently
-        declining to Liftoff.
-        """
-        artifacts = self._stencil_artifacts(instance)
-        if artifacts is None:
-            return False
-        n_imports = len(instance.module.imports)
         for i, artifact in enumerate(artifacts):
             instance.funcs[n_imports + i] = artifact.bind(
                 instance, instance.profile
             )
-        instance.stats.stencil_functions += len(artifacts)
+        stats.stencil_functions += len(artifacts)
         return True
-
-    def _compile_routed(self, instance: Instance) -> None:
-        """Compile with per-function ladders from ``config.tier_plan``.
-
-        The feedback subsystem's hybrid router names pipeline functions
-        and the ladder each should climb; everything it doesn't name
-        (``init``, helpers, unrouted pipelines) keeps the mode's
-        default ladder.  A function whose ladder enters at:
-
-        * ``interp`` — is pinned to the reference interpreter (short
-          scans where any codegen costs more than it saves),
-        * ``stencil`` — binds tier-0 code with the usual promotion
-          trigger (stencil -> Liftoff -> TurboFan),
-        * ``liftoff`` — compiles Liftoff up front with the TurboFan
-          trigger (known-hot pipelines skip the stencil warmup).
-
-        Stencil assembly declining (unsupported op, injected fault)
-        degrades stencil-entry functions to the Liftoff entry, exactly
-        like the unrouted path.
-        """
-        module = instance.module
-        n_imports = len(module.imports)
-        trace = self.config.trace
-        default = TIER_LADDERS[self.config.mode]
-        ladders = [default] * len(module.functions)
-        for export in module.exports:
-            if export.kind == "func" \
-                    and export.name in self.config.tier_plan:
-                ladders[export.index - n_imports] = tuple(
-                    self.config.tier_plan[export.name]
-                )
-        artifacts = None
-        if any(ladder[0] == "stencil" for ladder in ladders):
-            artifacts = self._stencil_artifacts(instance)
-        instrumented = instance.profile is not None
-        injector = self.config.fault_injector
-        interp = None
-        liftoff = LiftoffCompiler(module)
-        for i, func in enumerate(module.functions):
-            index = n_imports + i
-            ladder = ladders[i]
-            if ladder[0] == "stencil" and artifacts is not None:
-                instance.funcs[index] = artifacts[i].bind(
-                    instance, instance.profile
-                )
-                instance.stats.stencil_functions += 1
-                self._install_stencil_tier_up_trigger(instance, index)
-                continue
-            if ladder[0] == "interp":
-                if interp is None:
-                    interp = Interpreter(instance)
-                instance.funcs[index] = interp.make_callable(func)
-                continue
-            # Liftoff entry — also where stencil-entry functions land
-            # when assembly declined
-            start = time.perf_counter()
-            if injector is not None:
-                injector.check("liftoff.compile")
-            with trace_span(trace, "compile.liftoff", function=index):
-                compiled = liftoff.compile(func, index, instrumented)
-            instance.funcs[index] = compiled.bind(
-                instance, instance.profile
-            )
-            instance.stats.liftoff_seconds += time.perf_counter() - start
-            instance.stats.liftoff_functions += 1
-            if "turbofan" in ladder:
-                self._install_tier_up_trigger(instance, index)
 
     def _install_stencil_tier_up_trigger(self, instance: Instance,
                                          func_index: int) -> None:

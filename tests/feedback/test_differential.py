@@ -1,11 +1,9 @@
-"""Differential corpus: feedback-driven replanning and rerouting must
-never change a result.
+"""Differential corpus: feedback-driven replanning must never change
+a result.
 
 Every query runs three times (miss, rebuilt-entry hit, steady-state
-hit) on a service with an aggressive feedback configuration — a
-threshold low enough that almost any estimation error replans, and
-routing cutoffs that force pipelines onto the interpretive tier — and
-each run must be byte-identical to a feedback-disabled oracle on the
+hit) on a service with the most aggressive feedback configuration —
+the threshold at which every seedable statement replans — and each run must be byte-identical to a feedback-disabled oracle on the
 same engine spec."""
 
 import random
@@ -22,12 +20,9 @@ SPECS = [
     "volcano",
 ]
 
-AGGRESSIVE = FeedbackConfig(
-    q_error_threshold=1.5,
-    interp_rows_max=64,
-    liftoff_entry_rows=256,
-    min_observations=1,
-)
+# 1.0 is a perfect estimate: every statement whose measurements can
+# seed a plan is re-planned on its first execution
+AGGRESSIVE = FeedbackConfig(q_error_threshold=1.0)
 
 QUERIES = [
     "SELECT id, x FROM a WHERE x > 50",
@@ -91,16 +86,16 @@ class TestDifferentialCorpus:
 
     def test_the_aggressive_config_actually_fires(self):
         # guard against the corpus silently testing nothing: on the
-        # routable default engine the aggressive knobs must have
-        # replanned or rerouted at least one statement
+        # default engine the aggressive threshold must have replanned
+        # most of the corpus
         subject = QueryService(feedback=AGGRESSIVE)
         populate(subject)
         for sql in QUERIES:
             for _ in range(3):
                 subject.execute(sql)
         stats = subject.feedback.stats()["fingerprints"]
-        assert any(entry["replanned"] or entry["rerouted"]
-                   for entry in stats.values())
+        replanned = [entry["replanned"] for entry in stats.values()]
+        assert sum(replanned) >= len(QUERIES) // 2
 
     def test_parameterized_differential(self):
         oracle = QueryService(feedback=False)

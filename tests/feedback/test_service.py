@@ -1,9 +1,11 @@
 """End-to-end feedback loop through the QueryService: Q-Error
-re-optimization rebuilds the cached plan in place, hybrid routing pins
-pipelines to tiers, and both stay byte-identical to feedback-off."""
+re-optimization rebuilds the cached plan in place, never picks a tier
+(that is the engine ladder's decision alone), and stays byte-identical
+to feedback-off."""
 
 import pytest
 
+from repro.bench.tpch import QUERIES, generate_tpch
 from repro.feedback import FeedbackConfig, FeedbackStore
 from repro.observability.metrics import get_registry
 from repro.observability.trace import QueryTrace
@@ -16,6 +18,10 @@ MISESTIMATED_JOIN = (
     "SELECT c_id, o_id FROM customers, orders "
     "WHERE c_id = o_cust AND flag = 1"
 )
+
+
+# 1.0 is a perfect estimate: any seedable statement re-plans at once
+ALWAYS_REPLAN = FeedbackConfig(q_error_threshold=1.0)
 
 
 def populate(service):
@@ -111,38 +117,96 @@ class TestReoptimization:
             assert len(rows) == expected
 
 
-class TestHybridRouting:
-    def test_small_scan_reroutes_to_interp(self, service):
+class TestRebuildsReplanTheSameAst:
+    """An in-place feedback rebuild and a catalog-bump re-plan both
+    plan an AST that was planned before; neither may trip over the
+    first plan's leftovers."""
+
+    @pytest.mark.parametrize("feedback", [True, False])
+    def test_prepared_expression_over_aggregate_survives_an_insert(
+            self, feedback):
+        svc = QueryService(feedback=feedback)
+        svc.execute("CREATE TABLE r (id INT PRIMARY KEY, x INT)")
+        svc.execute("INSERT INTO r VALUES (1, 10), (2, 20), (3, 30)")
+        session = svc.create_session()
+        svc.execute("PREPARE p AS SELECT 2 * SUM(x) FROM r WHERE id < $1",
+                    session=session)
+        assert svc.execute("EXECUTE p(10)", session=session).rows \
+            == [(120,)]
+        svc.execute("INSERT INTO r VALUES (4, 40)")
+        bumped = svc.execute("EXECUTE p(10)", session=session)
+        assert bumped.plan_cache == "miss"
+        assert bumped.rows == [(200,)]
+
+    @pytest.mark.parametrize("feedback", [True, ALWAYS_REPLAN])
+    def test_first_execution_of_tpch_q14_succeeds(self, feedback):
+        svc = QueryService(feedback=feedback)
+        for table in generate_tpch(scale_factor=0.002, seed=1).values():
+            svc.db.register_table(table)
+        expected = svc.db.execute(QUERIES["q14"], engine="volcano").rows
+        trace = QueryTrace()
+        first = svc.execute(QUERIES["q14"], trace=trace)
+        if feedback is ALWAYS_REPLAN:
+            # Q14's expression over two aggregates is what an in-place
+            # rebuild used to choke on: make sure this run had one
+            assert "feedback.reoptimize" in [e.kind for e in trace.events]
+        ((promo_revenue,),) = first.rows
+        assert promo_revenue == pytest.approx(expected[0][0])
+        assert svc.execute(QUERIES["q14"]).rows == first.rows
+
+
+class TestOneTierDecision:
+    """Feedback re-plans; it never decides which tier runs a pipeline."""
+
+    def test_small_scan_keeps_its_compiled_entry(self, service):
         sql = "SELECT c_id FROM customers WHERE flag >= 0"
         trace = QueryTrace()
-        service.execute(sql, trace=trace)
-        assert "feedback.reroute" in [e.kind for e in trace.events]
-        routed = [e for e in trace.events if e.kind == "feedback.routed"]
-        assert routed and "interp" in str(routed[-1].attrs["route"])
-        stats = service.feedback.stats()["fingerprints"]
-        entry = next(iter(stats.values()))
-        assert entry["rerouted"]
-        assert set(entry["route"].values()) == {"interp"}
-
-    def test_rerouted_entry_still_answers_correctly(self, service):
-        sql = "SELECT c_id FROM customers WHERE flag >= 0"
-        first = sorted(service.execute(sql, trace=None).rows)
+        first = service.execute(sql, trace=trace)
+        kinds = [event.kind for event in trace.events]
+        assert "feedback.observed" in kinds
+        assert kinds.count("plancache.miss") == 1
+        assert not any(kind.startswith("compile.interp") for kind in kinds)
         second = service.execute(sql)
         assert second.plan_cache == "hit"
-        assert sorted(second.rows) == first == [(i,) for i in range(50)]
+        assert sorted(second.rows) == sorted(first.rows) \
+            == [(i,) for i in range(50)]
+        entry = next(iter(service.feedback.stats()["fingerprints"].values()))
+        assert entry["route"] == {} and not entry["replanned"]
+
+    def test_warm_point_lookups_never_touch_the_interpreter(self):
+        svc = QueryService()
+        svc.execute("CREATE TABLE dim (id INT PRIMARY KEY, x INT)")
+        rows = ", ".join(f"({i}, {i * 3})" for i in range(400))
+        svc.execute(f"INSERT INTO dim VALUES {rows}")
+        session = svc.create_session()
+        svc.execute("PREPARE pt AS SELECT id, x FROM dim WHERE id < $1",
+                    session=session)
+        (entry,) = svc.cache._entries.values()
+        compiled_at_prepare = entry.executable
+        assert compiled_at_prepare is not None
+        morsels = get_registry().counter("wasm_morsels_total")
+        interp_before = morsels.value(tier="interp")
+        reoptimized = False
+        for _ in range(5):
+            trace = QueryTrace()
+            result = svc.execute("EXECUTE pt(25)", session=session,
+                                 trace=trace)
+            assert result.plan_cache == "hit"
+            assert sorted(result.rows) == [(i, i * 3) for i in range(25)]
+            reoptimized |= any(event.kind == "feedback.reoptimize"
+                               for event in trace.events)
+        assert morsels.value(tier="interp") == interp_before
+        assert reoptimized or entry.executable is compiled_at_prepare
 
     def test_custom_config_is_honored(self):
-        svc = QueryService(feedback=FeedbackConfig(
-            q_error_threshold=None, interp_rows_max=0,
-            liftoff_entry_rows=None,
-        ))
+        svc = QueryService(feedback=FeedbackConfig(q_error_threshold=None))
         populate(svc)
         trace = QueryTrace()
         svc.execute(MISESTIMATED_JOIN, trace=trace)
         kinds = [event.kind for event in trace.events]
         assert "feedback.observed" in kinds
         assert "feedback.reoptimize" not in kinds
-        assert "feedback.reroute" not in kinds
+        assert svc.execute(MISESTIMATED_JOIN).plan_cache == "hit"
 
     def test_store_instance_can_be_shared(self):
         store = FeedbackStore()

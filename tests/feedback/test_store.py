@@ -1,7 +1,8 @@
 """FeedbackStore unit and property tests: Q-Error math, threshold
 exactness, once-per-version hysteresis, catalog-bump invalidation,
-routing policy, LRU bound, and thread safety."""
+LRU bound, and thread safety."""
 
+import dataclasses
 import threading
 
 import pytest
@@ -17,18 +18,15 @@ from repro.feedback import (
 
 
 def make_observation(fp="q1", version=1, *, estimated=10.0, measured=10,
-                     rows_in=1000, mode="adaptive_stencil", binding="t",
-                     function="pipeline_0", parameterized=False,
-                     root_rows=None):
+                     binding="t", function="pipeline_0",
+                     parameterized=False, root_rows=None):
     """One single-pipeline observation with a controllable Q-Error."""
     pipeline = PipelineObservation(
-        index=0, function=function, estimated_rows=estimated,
-        rows_in=rows_in, rows_out=measured, morsels=1, seconds=0.001,
+        function=function, estimated_rows=estimated, rows_out=measured,
         binding=binding,
     )
     return QueryObservation(
         fingerprint=fp, catalog_version=version,
-        engine_spec="wasm[adaptive_stencil]", mode=mode,
         pipelines=[pipeline], root_rows=root_rows,
         parameterized=parameterized,
     )
@@ -59,33 +57,35 @@ class TestConfigValidation:
         assert FeedbackConfig(q_error_threshold=None).q_error_threshold is None
 
     @pytest.mark.parametrize("kwargs", [
-        {"history": 0},
-        {"min_observations": 0},
         {"max_fingerprints": 0},
     ])
     def test_counts_must_be_positive(self, kwargs):
         with pytest.raises(ConfigError):
             FeedbackConfig(**kwargs)
 
+    def test_the_only_knobs_are_threshold_and_lru_bound(self):
+        # which tier runs a pipeline is the engine ladder's decision
+        # alone: the store carries no routing knob
+        assert [f.name for f in dataclasses.fields(FeedbackConfig)] == [
+            "q_error_threshold", "max_fingerprints",
+        ]
+
 
 class TestReplanThreshold:
     def store(self, threshold=4.0):
-        return FeedbackStore(FeedbackConfig(
-            q_error_threshold=threshold, interp_rows_max=0,
-            liftoff_entry_rows=None,
-        ))
+        return FeedbackStore(FeedbackConfig(q_error_threshold=threshold))
 
     def test_exactly_at_threshold_replans(self):
         store = self.store(threshold=4.0)
         decision = store.record(make_observation(estimated=40.0, measured=10))
         assert decision.q_error == 4.0
-        assert decision.replan and decision.invalidate
+        assert decision.replan
 
     def test_just_below_threshold_does_not(self):
         store = self.store(threshold=4.0)
         decision = store.record(make_observation(estimated=39.9, measured=10))
         assert decision.q_error == pytest.approx(3.99)
-        assert not decision.replan and not decision.invalidate
+        assert not decision.replan
 
     def test_threshold_none_disables_replanning(self):
         store = self.store(threshold=None)
@@ -134,7 +134,7 @@ class TestSeeds:
         assert FeedbackStore().observed_seeds("nope", 1) is None
 
     def test_seeds_withheld_until_replan_decided(self):
-        # a reroute-only rebuild must recompile the *same* plan: seeds
+        # a plan whose estimates were fine keeps its estimates: seeds
         # appear only once the Q-Error verdict said to re-plan
         store = FeedbackStore()
         store.record(make_observation(estimated=10.0, measured=10))
@@ -171,75 +171,6 @@ class TestCatalogInvalidation:
         assert store.observed_seeds("q1", 2).bindings == {"t": 9.0}
 
 
-class TestRoutingPolicy:
-    def store(self, **kwargs):
-        defaults = dict(q_error_threshold=None, interp_rows_max=512,
-                        liftoff_entry_rows=65536)
-        defaults.update(kwargs)
-        return FeedbackStore(FeedbackConfig(**defaults))
-
-    def test_tiny_pipeline_routes_to_interp(self):
-        store = self.store()
-        decision = store.record(make_observation(rows_in=100))
-        assert decision.reroute
-        assert store.tier_plan("q1", 1, "adaptive_stencil") == {
-            "pipeline_0": ("interp",)
-        }
-
-    def test_hot_pipeline_enters_at_liftoff(self):
-        store = self.store()
-        store.record(make_observation(rows_in=100_000))
-        assert store.tier_plan("q1", 1, "adaptive_stencil") == {
-            "pipeline_0": ("liftoff", "turbofan")
-        }
-
-    def test_middle_ground_keeps_the_default_ladder(self):
-        store = self.store()
-        decision = store.record(make_observation(rows_in=10_000))
-        assert not decision.reroute
-        assert store.tier_plan("q1", 1, "adaptive_stencil") is None
-
-    def test_liftoff_entry_only_on_the_stencil_ladder(self):
-        # "adaptive" already starts at Liftoff; skipping warmup is a no-op
-        store = self.store()
-        decision = store.record(
-            make_observation(rows_in=100_000, mode="adaptive")
-        )
-        assert not decision.reroute
-
-    def test_non_routable_mode_never_reroutes(self):
-        store = self.store()
-        decision = store.record(make_observation(rows_in=10, mode="liftoff"))
-        assert not decision.reroute
-        assert store.tier_plan("q1", 1, "liftoff") is None
-
-    def test_interp_routing_disabled_by_zero(self):
-        store = self.store(interp_rows_max=0)
-        assert not store.record(make_observation(rows_in=10)).reroute
-
-    def test_min_observations_gates_routing(self):
-        store = self.store(min_observations=2)
-        first = store.record(make_observation(rows_in=10))
-        second = store.record(make_observation(rows_in=10))
-        assert not first.reroute and second.reroute
-
-    def test_route_averages_the_history(self):
-        # one cold and one hot run straddling the interp cutoff: the
-        # mean (600) is above it, so nothing routes
-        store = self.store(min_observations=2)
-        store.record(make_observation(rows_in=100))
-        decision = store.record(make_observation(rows_in=1100))
-        assert not decision.reroute
-
-    def test_reroute_fires_once(self):
-        store = self.store()
-        first = store.record(make_observation(rows_in=10))
-        again = store.record(make_observation(rows_in=10))
-        assert first.reroute and not again.reroute
-        # ...but the plan stays queryable for later compilations
-        assert store.tier_plan("q1", 1, "adaptive_stencil") is not None
-
-
 class TestBookkeeping:
     def test_lru_bound_on_tracked_fingerprints(self):
         store = FeedbackStore(FeedbackConfig(max_fingerprints=2))
@@ -250,8 +181,8 @@ class TestBookkeeping:
         assert "a @v1" not in stats["fingerprints"]
         assert "c @v1" in stats["fingerprints"]
 
-    def test_history_is_trimmed(self):
-        store = FeedbackStore(FeedbackConfig(history=3))
+    def test_only_the_last_observation_is_kept(self):
+        store = FeedbackStore()
         for measured in (1, 2, 3, 4, 5):
             store.record(make_observation(measured=measured))
         # the newest observation's measurement wins the seed slot
@@ -260,27 +191,30 @@ class TestBookkeeping:
 
     def test_explain_lines(self):
         store = FeedbackStore(FeedbackConfig(q_error_threshold=4.0))
-        store.record(make_observation(estimated=80.0, measured=10,
-                                      rows_in=10))
+        store.record(make_observation(estimated=80.0, measured=10))
         lines = store.explain_lines("q1", 1)
         assert lines[0] == "feedback: observations=1 q_error=8.00"
         assert any(l.startswith("feedback: re-planned") for l in lines)
-        # the replan reset the routing samples; a measurement of the
-        # corrected plan routes on the next execution
-        assert not any(l.startswith("feedback: route") for l in lines)
-        store.record(make_observation(estimated=10.0, measured=10,
-                                      rows_in=10))
-        assert ("feedback: route pipeline_0 -> interp"
-                in store.explain_lines("q1", 1))
+        store.record(make_observation(estimated=10.0, measured=10))
+        lines = store.explain_lines("q1", 1)
+        assert lines[0] == "feedback: observations=2 q_error=1.00"
+        assert len(lines) == 2 and lines[1].startswith(
+            "feedback: re-planned")
 
-    def test_replan_and_reroute_never_fire_together(self):
-        # both verdicts on one observation would apply a route keyed by
-        # the dying plan's pipeline numbering to its replacement
-        store = FeedbackStore(FeedbackConfig(q_error_threshold=4.0))
-        decision = store.record(
-            make_observation(estimated=80.0, measured=10, rows_in=10)
-        )
-        assert decision.replan and not decision.reroute
+    def test_a_decision_is_replan_or_nothing(self):
+        assert [f.name for f in dataclasses.fields(
+            FeedbackStore().record(make_observation())
+        )] == ["replan", "q_error", "pipeline"]
+
+    def test_stats_never_reports_a_route(self):
+        # benchmarks/ledger/layers.py sums the per-fingerprint "route"
+        # ladders; small scans must not be counted as pinned anywhere
+        store = FeedbackStore()
+        store.record(make_observation(estimated=80.0, measured=10))
+        assert store.stats()["fingerprints"]["q1 @v1"] == {
+            "executions": 1, "q_error": 8.0, "replanned": True,
+            "route": {},
+        }
 
     def test_explain_lines_empty_without_history(self):
         assert FeedbackStore().explain_lines("q1", 1) == []
@@ -297,10 +231,8 @@ class TestThreadSafety:
                     store.record(make_observation(
                         fp=f"q{i % 4}", estimated=float(1 + i),
                         measured=1 + (index + i) % 7,
-                        rows_in=(index * 50 + i) % 2000,
                     ))
                     store.observed_seeds(f"q{i % 4}", 1)
-                    store.tier_plan(f"q{i % 4}", 1, "adaptive_stencil")
                     store.explain_lines(f"q{i % 4}", 1)
             except Exception as exc:  # pragma: no cover - failure path
                 errors.append(exc)
