@@ -18,11 +18,16 @@ per-IR-instruction costs to make that comparison explicit.
 
 ``python benchmarks/bench_compile_times.py [--json]`` prints the table
 (or a machine-readable JSON document; CI archives it as an artifact).
+Either way it exits non-zero when the TurboFan : Liftoff cost ratio of
+the rates the engine's tier-up estimates are seeded with
+(``SEED_COMPILE_RATES``) is more than 2x off the ratio measured here —
+a machine-independent check, so the priors cannot rot unnoticed.
 """
 
 import argparse
 import gc
 import json
+import sys
 import time
 from contextlib import contextmanager
 
@@ -37,6 +42,7 @@ from repro.engines.wasm_engine import WasmEngine
 from repro.sql.analyzer import analyze
 from repro.sql.parser import parse
 from repro.observability.trace import QueryTrace
+from repro.wasm.runtime.engine import SEED_COMPILE_RATES
 from repro.wasm.runtime.liftoff import LiftoffCompiler
 from repro.wasm.runtime.turbofan import TurboFanCompiler
 from repro.wasm.stencil import assemble_module, reset_stencil_cache
@@ -139,18 +145,8 @@ def _module_sizes(db, sql) -> tuple[int, int]:
     """(Wasm instructions incl. generated library, HIR instructions)."""
     plan = _plan(db, sql)
     compiled, _ = WasmEngine().compile_query(plan, db.catalog, Timings())
-
-    def count_wasm(body):
-        total = 0
-        for instr in body:
-            total += 1
-            if instr[0] in ("block", "loop"):
-                total += count_wasm(instr[2])
-            elif instr[0] == "if":
-                total += count_wasm(instr[2]) + count_wasm(instr[3])
-        return total
-
-    wasm_instrs = sum(count_wasm(f.body) for f in compiled.module.functions)
+    wasm_instrs = sum(f.instruction_count()
+                      for f in compiled.module.functions)
     program = generate_hir(plan)
     hir_instrs = sum(p.function.instruction_count()
                      for p in program.pipelines)
@@ -197,13 +193,49 @@ def measurements(scale_factor=0.002) -> dict:
             "phases_ms": m,
             "wasm_instructions": wasm_instrs,
             "hir_instructions": hir_instrs,
+            "liftoff_us_per_instr":
+                m["liftoff"] * 1000 / max(wasm_instrs, 1),
             "turbofan_us_per_instr":
                 m["turbofan"] * 1000 / max(wasm_instrs, 1),
             "o2_us_per_instr": m["o2"] * 1000 / max(hir_instrs, 1),
             "stencil_vs_liftoff_speedup": m["liftoff"] / m["stencil"],
             "cold_first_result_ms": cold,
         }
-    return {"scale_factor": scale_factor, "queries": queries}
+    return {"scale_factor": scale_factor, "queries": queries,
+            "compile_rates": _compile_rates(queries)}
+
+
+def _compile_rates(queries: dict) -> dict:
+    """The engine's seeded per-instruction rates beside the ones measured
+    here (instruction-weighted over all queries), and both TurboFan :
+    Liftoff ratios — the figure :func:`seed_drift` judges."""
+    instrs = sum(q["wasm_instructions"] for q in queries.values())
+    measured = {
+        tier: sum(q["phases_ms"][tier] for q in queries.values())
+        * 1000 / max(instrs, 1)
+        for tier in ("liftoff", "turbofan")
+    }
+    seeded = {tier: rate * 1e6 for tier, rate in SEED_COMPILE_RATES.items()}
+    return {
+        "seeded_us_per_instr": seeded,
+        "measured_us_per_instr": measured,
+        "seeded_ratio": seeded["turbofan"] / seeded["liftoff"],
+        "measured_ratio": measured["turbofan"] / measured["liftoff"],
+    }
+
+
+def seed_drift(data: dict, tolerance: float = 2.0) -> str | None:
+    """A complaint when the seeded TurboFan : Liftoff ratio is more than
+    ``tolerance`` x off the measured one, else ``None``."""
+    rates = data["compile_rates"]
+    off = rates["seeded_ratio"] / rates["measured_ratio"]
+    if 1 / tolerance <= off <= tolerance:
+        return None
+    return (
+        f"SEED_COMPILE_RATES has TurboFan at {rates['seeded_ratio']:.2f}x "
+        f"Liftoff per instruction, measured {rates['measured_ratio']:.2f}x: "
+        f"re-seed repro.wasm.runtime.engine.SEED_COMPILE_RATES"
+    )
 
 
 def compile_table(scale_factor=0.002, data: dict | None = None) -> str:
@@ -232,6 +264,16 @@ def compile_table(scale_factor=0.002, data: dict | None = None) -> str:
             f" {m['bytecode']:9.2f} {m['o0']:7.2f} {m['o2']:7.2f}"
             f" | {q['turbofan_us_per_instr']:9.2f}"
             f" {q['o2_us_per_instr']:9.2f}"
+        )
+    rates = data["compile_rates"]
+    lines.append("")
+    lines.append("== tier-up estimate rates (us per Wasm instruction) ==")
+    for source in ("seeded", "measured"):
+        per_instr = rates[f"{source}_us_per_instr"]
+        lines.append(
+            f"{source:<9} liftoff {per_instr['liftoff']:6.2f}"
+            f"  turbofan {per_instr['turbofan']:6.2f}"
+            f"  ratio {rates[f'{source}_ratio']:5.2f}"
         )
     lines.append("")
     lines.append("== cold first-result latency (ms, compile start ->"
@@ -315,7 +357,8 @@ def test_cold_first_result_latency(db):
     assert cold["adaptive_stencil"] < cold["adaptive"], cold
 
 
-def main(argv=None) -> str:
+def report(argv=None) -> tuple[str, str | None]:
+    """The report text and the seed-drift complaint, if any."""
     parser = argparse.ArgumentParser(
         description="Per-tier compile-time breakdown over TPC-H"
     )
@@ -326,9 +369,16 @@ def main(argv=None) -> str:
     args = parser.parse_args(argv)
     data = measurements(scale_factor=args.scale_factor)
     if args.json:
-        return json.dumps(data, indent=2, sort_keys=True)
-    return compile_table(data=data)
+        return json.dumps(data, indent=2, sort_keys=True), seed_drift(data)
+    return compile_table(data=data), seed_drift(data)
+
+
+def main(argv=None) -> str:
+    return report(argv)[0]
 
 
 if __name__ == "__main__":
-    print(main())
+    text, drift = report()
+    print(text)
+    if drift:
+        sys.exit(drift)

@@ -8,8 +8,8 @@ This is mutable's execution path (Figure 4):
 2. the host builds a **rewired address space** (Section 6.1): table
    columns are aliased zero-copy into the module's 32-bit memory, plus a
    constants region, the result window, and a growable heap,
-3. the module is handed to the **two-tier engine** (Liftoff + TurboFan
-   with adaptive tier-up — our V8), and
+3. the module is handed to the **tiered engine** (stencil, Liftoff and
+   TurboFan code with adaptive tier-up — our V8), and
 4. execution is **morsel-wise**: the host repeatedly invokes
    ``pipeline_i(begin, end)``, giving the engine call boundaries at
    which it transparently swaps in optimized code.
@@ -47,7 +47,11 @@ from repro.wasm.runtime import Engine, EngineConfig, LinearMemory
 
 __all__ = ["WasmEngine", "WasmExecutable"]
 
-_HEAP_SLACK = 8 * 1024 * 1024
+#: Heap beyond the pipeline breakers' estimated needs.  Kept small: the
+#: whole heap is zero-filled per executable and pinned until the
+#: executable is collected, and the generated ``alloc`` extends it
+#: through ``memory.grow`` whenever an estimate falls short.
+_HEAP_SLACK = 256 * 1024
 
 
 @dataclass
@@ -92,9 +96,14 @@ class WasmEngine(QueryEngine):
 
     Args:
         mode: engine tiering mode — ``"adaptive"`` (default, the paper's
-            architecture), ``"liftoff"``, ``"turbofan"`` (the enforced-
-            optimization setting of Section 8.2), or ``"interpreter"``.
-        tier_up_threshold: morsel calls before a pipeline is re-optimized.
+            architecture), ``"adaptive_stencil"``, ``"liftoff"``,
+            ``"turbofan"`` (the enforced-optimization setting of
+            Section 8.2), ``"stencil"`` or ``"interpreter"``.
+        tier_up_threshold: ``None`` (default) promotes a function once
+            the wall time it has run covers the estimated compile time
+            of a higher tier — measured across re-runs of a cached
+            executable; an int promotes one tier per that many calls
+            instead (deterministic, for tests and ablations).
         short_circuit: compile conjunctions with short-circuit branches
             (mutable's default is off; used by the ablation benchmark).
         morsel_size: rows per pipeline invocation.
@@ -113,7 +122,8 @@ class WasmEngine(QueryEngine):
 
     name = "wasm"
 
-    def __init__(self, mode: str = "adaptive", tier_up_threshold: int = 2,
+    def __init__(self, mode: str = "adaptive",
+                 tier_up_threshold: int | None = None,
                  short_circuit: bool = False, morsel_size: int = MORSEL_SIZE,
                  inline_adhoc: bool = True, predication: bool = False,
                  table_window_rows: int | None = None,
@@ -397,8 +407,10 @@ class WasmEngine(QueryEngine):
                                         self.max_memory_pages,
                                         deadline=self.deadline).start()
             governor.trace = trace
-        # re-attach: page growth during this run charges this run's budget
+        # re-attach: page growth during this run charges this run's budget,
+        # and tier-ups bought during it are recorded in this run's trace
         executable.space.governor = governor
+        executable.engine.config.trace = trace
         governor.phase = "execution"
         instance = executable.instance
         compiled = executable.compiled
@@ -642,8 +654,9 @@ class WasmEngine(QueryEngine):
             if tier == "stencil":
                 # warmup morsels: stencil code starts instantly but runs
                 # slower than compiled code, so bound the work done per
-                # call — first rows surface sooner AND the call counter
-                # reaches the promotion threshold after little work
+                # call — first rows surface sooner AND the tier-up meter
+                # gets to compare time spent against compile cost after
+                # little work, at the next call boundary
                 size = max(self.morsel_size // 16, 256)
             else:
                 size = self.morsel_size

@@ -7,7 +7,8 @@ recorded during a real execution and folds it back onto the plan:
   result), and execution time split by the tier that actually ran each
   morsel (the paper's adaptive story, made visible per query);
 * per **tier** — functions compiled, tier-ups and their failures,
-  bounds checks the interval analysis elided;
+  bounds checks the interval analysis elided, and one line per tier-up
+  decision with the meter reading that triggered it;
 * per **phase** — parse, analyze, plan, translation (with per-pipeline
   codegen), validation, lint, per-tier compilation, execution.
 
@@ -110,6 +111,28 @@ def _ms(seconds: float) -> str:
     return f"{seconds * 1000:.3f}ms"
 
 
+def _tier_up_lines(trace) -> list[str]:
+    """One line per tier-up decision of this execution, in event order:
+    which function moved between which rungs and what its meter read —
+    time spent against the estimated compile time, or calls against the
+    threshold when the engine counts calls."""
+    lines = []
+    for event in trace.events:
+        if event.kind not in ("tier_up", "tier_up.failure"):
+            continue
+        attrs = event.attrs
+        label = "tier-up" if event.kind == "tier_up" else "tier-up failed"
+        function = attrs.get("name") or f"function {attrs.get('function')}"
+        if "spent_ms" in attrs:
+            meter = (f"spent={attrs['spent_ms']:.3f}ms "
+                     f"est-compile={attrs['estimated_compile_ms']:.3f}ms")
+        else:
+            meter = f"calls={attrs['calls']} threshold={attrs['threshold']}"
+        lines.append(f"  {label}: {function} {attrs['from_tier']}"
+                     f"->{attrs['to_tier']} {meter}")
+    return lines
+
+
 def render_explain_analyze(plan, trace, stats: list[PipelineStats],
                            engine_spec: str,
                            total_rows: int | None = None,
@@ -178,6 +201,7 @@ def render_explain_analyze(plan, trace, stats: list[PipelineStats],
                 f"/{attrs.get('stencil_cache_misses', 0)} miss(es)"
             )
         lines.append("tiers: " + " ".join(parts))
+        lines.extend(_tier_up_lines(trace))
 
     if feedback_lines:
         lines.extend(feedback_lines)

@@ -65,6 +65,23 @@ class Function:
     #: bound values no address arithmetic could (index-seek row ids).
     value_ranges: dict[int, tuple[int, int]] = field(default_factory=dict)
 
+    def instruction_count(self) -> int:
+        """Instructions in the body, nested blocks included — the size
+        measure compile-cost estimates are scaled by."""
+        count = 0
+        pending = [self.body]
+        while pending:
+            body = pending.pop()
+            count += len(body)
+            for instr in body:
+                op = instr[0]
+                if op == "block" or op == "loop":
+                    pending.append(instr[2])
+                elif op == "if":
+                    pending.append(instr[2])
+                    pending.append(instr[3])
+        return count
+
 
 @dataclass
 class Global:

@@ -5,12 +5,29 @@ The :class:`Engine` owns the tiering policy:
 * ``mode="liftoff"`` — everything runs as Liftoff-compiled code,
 * ``mode="turbofan"`` — everything is optimized up front (the paper's
   "enforce compilation with TurboFan" configuration of Section 8.2),
-* ``mode="adaptive"`` (default) — functions start as Liftoff code; a
-  per-function call counter triggers recompilation with TurboFan, and the
-  function-table entry is swapped so every later call — including calls
-  already in flight at morsel boundaries — runs optimized code.  This is
-  V8's dynamic tier-up [Liftoff paper], which the paper gets "for free",
-* ``mode="interpreter"`` — the reference interpreter (for testing).
+* ``mode="adaptive"`` (default) — functions start as Liftoff code and
+  are recompiled with TurboFan once hot; the function-table entry is
+  swapped so every later call — including calls already in flight at
+  morsel boundaries — runs optimized code.  This is V8's dynamic
+  tier-up [Liftoff paper], which the paper gets "for free",
+* ``mode="adaptive_stencil"`` — the same climb from a rung lower:
+  tier-0 stencil code, then Liftoff, then TurboFan,
+* ``mode="stencil"`` / ``mode="interpreter"`` — tier-0 code only / the
+  reference interpreter (for testing).
+
+"Hot" is a **cost decision** (the paper's Section 2.2: a tier must pay
+for itself *during* the query).  Every function below the top rung
+carries one meter.  By default (``tier_up_threshold=None``) it adds up
+the wall time the function has run and promotes when that total covers
+the *estimated* compile time of a rung — the function's instruction
+count times :data:`compile_rates`' measured seconds per instruction —
+going straight to the highest rung already paid for.  Compiling never
+costs more than running already has (the ski-rental rule), so a helper
+of a 256-row statement stays on the code it started on, while a scan
+whose first morsel took 30 ms skips Liftoff and lands on TurboFan.  An
+integer ``tier_up_threshold`` makes the same meter count calls instead:
+one rung per ``threshold`` calls — deterministic, for tests and
+ablations.
 
 Compile times per tier are recorded in :class:`TierStats`; the paper's
 Figure 10 stacks exactly these phases.  In real V8 the TurboFan compile
@@ -21,6 +38,7 @@ either overlapped or serialized.
 
 from __future__ import annotations
 
+import threading
 import time
 import warnings
 from dataclasses import dataclass
@@ -42,10 +60,66 @@ from repro.wasm.runtime.turbofan import TurboFanCompiler
 from repro.wasm.stencil.cache import get_stencil_cache
 from repro.wasm.validator import validate_module
 
-__all__ = ["ENGINE_MODES", "TIER_LADDERS", "Engine", "EngineConfig",
-           "Instance", "TierStats"]
+__all__ = ["ENGINE_MODES", "SEED_COMPILE_RATES", "TIER_LADDERS",
+           "CompileRates", "Engine", "EngineConfig", "Instance", "TierStats",
+           "compile_rates"]
 
 _GLOBAL_DEFAULTS = {"i32": 0, "i64": 0, "f32": 0.0, "f64": 0.0}
+
+#: The clock of the tier-up cost meter and of all compile accounting in
+#: this module.  Tests replace this one name with a fake clock.
+_clock = time.perf_counter
+
+#: Compile seconds per Wasm instruction each rate starts from, measured
+#: over the TPC-H modules (``benchmarks/bench_compile_times.py`` prints
+#: today's figures; CI fails when the TurboFan : Liftoff ratio drifts).
+SEED_COMPILE_RATES = {"liftoff": 18e-6, "turbofan": 50e-6}
+
+#: Instructions the seed weighs in the mean — about one TPC-H module,
+#: so a handful of measured compiles outweighs it.
+_SEED_INSTRUCTIONS = 2000
+
+
+def _module_size(module: Module) -> int:
+    return sum(func.instruction_count() for func in module.functions)
+
+
+class CompileRates:
+    """Running mean of measured compile seconds per Wasm instruction.
+
+    One instruction-weighted mean per compiling tier (total seconds over
+    total instructions, the seed counted as :data:`_SEED_INSTRUCTIONS`
+    instructions), refreshed by every real compile.  Thread-safe: the
+    engines of concurrent queries share :data:`compile_rates`.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._totals = {
+            tier: [rate * _SEED_INSTRUCTIONS, _SEED_INSTRUCTIONS]
+            for tier, rate in SEED_COMPILE_RATES.items()
+        }
+
+    def record(self, tier: str, instructions: int, seconds: float) -> None:
+        """Fold one measured compile of ``instructions`` into the mean."""
+        with self._lock:
+            totals = self._totals[tier]
+            totals[0] += seconds
+            totals[1] += instructions
+
+    def seconds_per_instruction(self, tier: str) -> float:
+        with self._lock:
+            seconds, instructions = self._totals[tier]
+        return seconds / instructions
+
+    def estimate(self, tier: str, instructions: int) -> float:
+        """Estimated seconds to compile ``instructions`` on ``tier``
+        (never zero: an empty body is not free to compile either)."""
+        return max(instructions, 1) * self.seconds_per_instruction(tier)
+
+
+#: The process-wide rates behind every tier-up estimate.
+compile_rates = CompileRates()
 
 
 #: The valid tiering modes, in decreasing order of sophistication.
@@ -53,8 +127,8 @@ ENGINE_MODES = ("adaptive_stencil", "adaptive", "turbofan", "liftoff",
                 "stencil", "interpreter")
 
 #: The tier-up ladder per adaptive mode: functions start on the first
-#: tier and are promoted one rung at a time at call-count thresholds.
-#: Non-adaptive modes pin every function to their single tier.
+#: tier and climb as their meter pays for higher rungs.  Non-adaptive
+#: modes pin every function to their single tier.
 TIER_LADDERS = {
     "adaptive": ("liftoff", "turbofan"),
     "adaptive_stencil": ("stencil", "liftoff", "turbofan"),
@@ -79,7 +153,10 @@ class EngineConfig:
     """
 
     mode: str = "adaptive"          # one of ENGINE_MODES
-    tier_up_threshold: int = 16     # calls of one function before tier-up
+    #: ``None`` (default): promote a function when the time it has run
+    #: covers a rung's estimated compile time.  An int: promote one rung
+    #: per that many calls instead (deterministic; tests, ablations).
+    tier_up_threshold: int | None = None
     validate: bool = True
     #: Static-analysis linter over every instantiated module:
     #: "off" (default), "warn" (Python warnings), or "strict"
@@ -98,11 +175,13 @@ class EngineConfig:
             raise ConfigError(
                 f"unknown engine mode {self.mode!r}; have {ENGINE_MODES}"
             )
-        if not isinstance(self.tier_up_threshold, int) \
-                or self.tier_up_threshold < 1:
+        threshold = self.tier_up_threshold
+        if threshold is not None and (
+                not isinstance(threshold, int) or isinstance(threshold, bool)
+                or threshold < 1):
             raise ConfigError(
-                f"tier_up_threshold must be an int >= 1, "
-                f"got {self.tier_up_threshold!r}"
+                f"tier_up_threshold must be None (cost meter) or an "
+                f"int >= 1 (calls per rung), got {threshold!r}"
             )
         if self.lint not in LINT_MODES:
             raise ConfigError(
@@ -129,8 +208,8 @@ class TierStats:
     liftoff_functions: int = 0
     turbofan_functions: int = 0
     tier_ups: int = 0
-    #: TurboFan compilations that failed; each pins its function to the
-    #: Liftoff tier for the rest of the instance's life (V8's bailout).
+    #: Tier compilations that failed; each pins its function to a lower
+    #: tier for the rest of the instance's life (V8's bailout).
     tier_up_failures: int = 0
     #: Per-access bounds checks TurboFan statically proved away using the
     #: interval analysis (summed over its compiled functions).
@@ -207,7 +286,7 @@ class Instance:
     def reset_mutable_state(self) -> None:
         """Restore every global to its module initializer (module reuse).
 
-        Tier state — the live function table, call counters, compiled
+        Tier state — the live function table, tier-up meters, compiled
         code — is deliberately preserved: resetting it would forfeit the
         adaptive engine's optimization investment, which is the point of
         caching an instantiated module.  The host is responsible for any
@@ -336,7 +415,7 @@ class Engine:
                 module, elide_bounds_checks=self.config.elide_bounds_checks
             )
             fallback = None
-            start = time.perf_counter()
+            start = _clock()
             with trace_span(trace, "compile.turbofan",
                             functions=len(module.functions)):
                 for i, func in enumerate(module.functions):
@@ -364,45 +443,47 @@ class Engine:
                                     function=n_imports + i)
                         get_registry().counter(
                             "engine_tier_up_failures_total",
-                            "TurboFan compilations that bailed out",
-                        ).inc()
+                            "Tier compilations that failed; the function "
+                            "stays on a lower tier",
+                        # "from" the tier the function lands on instead
+                        ).inc(from_tier="liftoff", to_tier="turbofan")
                     instance.funcs[n_imports + i] = compiled.bind(
                         instance, instance.profile
                     )
-            instance.stats.turbofan_seconds += time.perf_counter() - start
+            seconds = _clock() - start
+            instance.stats.turbofan_seconds += seconds
+            if fallback is None:
+                compile_rates.record("turbofan", _module_size(module),
+                                     seconds)
             return
 
-        if mode in ("stencil", "adaptive_stencil"):
-            if self._compile_stencil(instance):
-                if mode == "adaptive_stencil":
-                    for i in range(len(module.functions)):
-                        self._install_stencil_tier_up_trigger(
-                            instance, n_imports + i
-                        )
-                return
-            # assembly declined (unsupported op, instrumented run,
-            # injected fault): fall through to the Liftoff path below —
-            # the retryable StencilError never escapes the engine
+        # Stencil modes whose assembly declines (unsupported op, injected
+        # fault) land on Liftoff code like the other modes — the
+        # retryable StencilError never escapes the engine.
+        if not (mode in ("stencil", "adaptive_stencil")
+                and self._compile_stencil(instance)):
+            compiler = LiftoffCompiler(module)
+            start = _clock()
+            with trace_span(trace, "compile.liftoff",
+                            functions=len(module.functions)):
+                for i, func in enumerate(module.functions):
+                    if injector is not None:
+                        # there is no lower compiled tier: a baseline
+                        # failure aborts instantiation and is handled by
+                        # the fallback chain (wasm[interpreter], volcano)
+                        injector.check("liftoff.compile")
+                    compiled = compiler.compile(
+                        func, n_imports + i, instrumented
+                    )
+                    instance.funcs[n_imports + i] = compiled.bind(
+                        instance, instance.profile
+                    )
+            seconds = _clock() - start
+            instance.stats.liftoff_seconds += seconds
+            instance.stats.liftoff_functions += len(module.functions)
+            compile_rates.record("liftoff", _module_size(module), seconds)
 
-        # liftoff and the adaptive ladders start (or land) on Liftoff code
-        compiler = LiftoffCompiler(module)
-        start = time.perf_counter()
-        with trace_span(trace, "compile.liftoff",
-                        functions=len(module.functions)):
-            for i, func in enumerate(module.functions):
-                if injector is not None:
-                    # there is no lower compiled tier: a baseline failure
-                    # aborts instantiation and is handled by the fallback
-                    # chain (wasm[interpreter], then volcano)
-                    injector.check("liftoff.compile")
-                compiled = compiler.compile(func, n_imports + i, instrumented)
-                instance.funcs[n_imports + i] = compiled.bind(
-                    instance, instance.profile
-                )
-        instance.stats.liftoff_seconds += time.perf_counter() - start
-        instance.stats.liftoff_functions += len(module.functions)
-
-        if mode == "adaptive" or mode == "adaptive_stencil":
+        if len(self.config.tier_ladder) > 1:
             for i in range(len(module.functions)):
                 self._install_tier_up_trigger(instance, n_imports + i)
 
@@ -427,7 +508,7 @@ class Engine:
         trace = self.config.trace
         stats = instance.stats
         injector = self.config.fault_injector
-        start = time.perf_counter()
+        start = _clock()
         hit = False
         try:
             with trace_span(trace, "compile.stencil",
@@ -438,7 +519,7 @@ class Engine:
                 if span is not None:
                     span.attrs["cache"] = "hit" if hit else "miss"
         except CompilationError as exc:
-            stats.stencil_seconds += time.perf_counter() - start
+            stats.stencil_seconds += _clock() - start
             stats.stencil_fallbacks += 1
             trace_event(trace, "stencil.fallback", reason=str(exc))
             get_registry().counter(
@@ -446,7 +527,7 @@ class Engine:
                 "Stencil assemblies that fell back to Liftoff",
             ).inc()
             return False
-        stats.stencil_seconds += time.perf_counter() - start
+        stats.stencil_seconds += _clock() - start
         if hit:
             stats.stencil_cache_hits += 1
         else:
@@ -458,154 +539,165 @@ class Engine:
         stats.stencil_functions += len(artifacts)
         return True
 
-    def _install_stencil_tier_up_trigger(self, instance: Instance,
-                                         func_index: int) -> None:
-        """Wrap a stencil function with a call counter that promotes it
-        to Liftoff once hot — the first rung of the stencil ladder.
+    def _install_tier_up_trigger(self, instance: Instance, func_index: int,
+                                 spent: float = 0) -> None:
+        """Wrap a function below the top rung with the tier-up meter.
 
-        Same shape as :meth:`_install_tier_up_trigger`; the promoted
-        Liftoff function then gets its own trigger toward TurboFan, so
-        one hot function climbs stencil -> Liftoff -> TurboFan.
+        One wrapper serves both ladders and both meters.  The **cost
+        meter** (``tier_up_threshold=None``) accumulates the wall time
+        of the function's own calls — compile time spent inside them
+        excluded, a recursive activation left to the outermost one — on
+        top of ``spent``, the total handed on from the rungs below, and
+        promotes at the next call once that total covers the estimated
+        compile seconds of a higher rung.  The **call meter** (an int
+        threshold) charges one per call instead and buys the next rung
+        at ``threshold`` calls, restarting from zero on every rung.
+
+        The meter lives in this closure, in the function table, so it
+        keeps accumulating across re-runs of a cached instance; on
+        promotion to the top rung the raw callable replaces the wrapper
+        and the metering overhead disappears with it — V8's code
+        patching.
         """
-        stencil_fn = instance.funcs[func_index]
-        threshold = self.config.tier_up_threshold
-        engine = self
-
-        count = 0
-
-        def tiering(*args):
-            nonlocal count
-            count += 1
-            if count >= threshold:
-                engine.tier_up_stencil(instance, func_index)
-                return instance.funcs[func_index](*args)
-            return stencil_fn(*args)
-
-        tiering.tier = "stencil"
-        tiering.stencil = stencil_fn  # kept for pinning on tier-up failure
-        instance.funcs[func_index] = tiering
-
-    def tier_up_stencil(self, instance: Instance, func_index: int) -> None:
-        """Promote one function from stencil code to Liftoff code.
-
-        Mirrors :meth:`tier_up` one rung down the ladder: a failed
-        Liftoff compile pins the function to its stencil code (the
-        query keeps running tier-0), otherwise the function-table entry
-        is swapped for the Liftoff callable wrapped with the TurboFan
-        trigger, continuing the climb.
-        """
-        module = instance.module
-        func = module.functions[func_index - len(module.imports)]
-        trace = self.config.trace
-        start = time.perf_counter()
-        try:
-            injector = self.config.fault_injector
-            if injector is not None:
-                injector.check("liftoff.compile")
-            with trace_span(trace, "compile.liftoff", function=func_index):
-                compiled = LiftoffCompiler(module).compile(
-                    func, func_index, instrumented=False
-                )
-            baseline = compiled.bind(instance, instance.profile)
-        except CompilationError:
-            instance.stats.liftoff_seconds += time.perf_counter() - start
-            instance.stats.tier_up_failures += 1
-            current = instance.funcs[func_index]
-            instance.funcs[func_index] = getattr(
-                current, "stencil", current
-            )
-            trace_event(trace, "tier_up.failure", function=func_index)
-            get_registry().counter(
-                "engine_tier_up_failures_total",
-                "TurboFan compilations that bailed out",
-            ).inc()
+        current = instance.funcs[func_index]
+        ladder = self.config.tier_ladder
+        rungs = ladder[ladder.index(current.tier) + 1:]
+        if not rungs:
             return
-        instance.stats.liftoff_seconds += time.perf_counter() - start
-        instance.stats.liftoff_functions += 1
-        instance.stats.tier_ups += 1
-        instance.funcs[func_index] = baseline
-        self._install_tier_up_trigger(instance, func_index)
-        trace_event(trace, "tier_up", function=func_index,
-                    from_tier="stencil", to_tier="liftoff")
-        get_registry().counter(
-            "engine_tier_ups_total",
-            "Functions promoted from Liftoff to TurboFan",
-        ).inc()
-
-    def _install_tier_up_trigger(self, instance: Instance,
-                                 func_index: int) -> None:
-        """Wrap a Liftoff function with a call counter that triggers
-        TurboFan recompilation once the function is hot.
-
-        The wrapper replaces ``instance.funcs[func_index]`` with the raw
-        optimized callable on tier-up, so the counting overhead also
-        disappears — mirroring V8's code patching.
-        """
-        liftoff_fn = instance.funcs[func_index]
         threshold = self.config.tier_up_threshold
+        timed = threshold is None
+        if timed:
+            module = instance.module
+            size = module.functions[
+                func_index - len(module.imports)].instruction_count()
+            costs = tuple((rung, compile_rates.estimate(rung, size))
+                          for rung in rungs)
+        else:
+            costs = ((rungs[0], threshold),)
+        due = min(cost for _, cost in costs)
         engine = self
-
-        count = 0
+        stats = instance.stats
+        running = False
 
         def tiering(*args):
-            nonlocal count
-            count += 1
-            if count >= threshold:
-                engine.tier_up(instance, func_index)
-                return instance.funcs[func_index](*args)
-            return liftoff_fn(*args)
+            nonlocal spent, running
+            if running:
+                return current(*args)
+            if not timed:
+                spent += 1
+                if spent < due:
+                    return current(*args)
+            elif spent < due:
+                running = True
+                compiling = stats.liftoff_seconds + stats.turbofan_seconds
+                start = _clock()
+                try:
+                    return current(*args)
+                finally:
+                    spent += (_clock() - start) - (
+                        stats.liftoff_seconds + stats.turbofan_seconds
+                        - compiling)
+                    running = False
+            engine._promote(instance, func_index, current, costs, spent)
+            return instance.funcs[func_index](*args)
 
-        tiering.tier = "liftoff"
-        tiering.liftoff = liftoff_fn  # kept for pinning on tier-up failure
+        tiering.tier = current.tier
         instance.funcs[func_index] = tiering
 
-    def tier_up(self, instance: Instance, func_index: int) -> None:
-        """Recompile one function with TurboFan and patch it in.
+    def _promote(self, instance: Instance, func_index: int, current,
+                 costs: tuple, spent: float) -> None:
+        """Move one function to the highest rung its meter has paid for.
 
-        A failed TurboFan compilation must never abort a half-executed
-        query (real V8 silently keeps running Liftoff code when an
-        optimization job bails out): the :class:`CompilationError` is
-        swallowed, recorded in ``TierStats.tier_up_failures``, and the
-        function is *pinned* — the counting wrapper is replaced by the
-        raw Liftoff callable, so no further tier-up is attempted and the
-        counter overhead disappears too.
+        A failed compile must never abort a half-executed query (real
+        V8 keeps running baseline code when an optimization job bails
+        out): the :class:`CompilationError` is swallowed, counted in
+        ``TierStats.tier_up_failures``, and the function is *pinned* —
+        the next lower paid-for rung is tried, and whatever the function
+        lands on (at worst ``current``, the raw callable of the tier it
+        was on) is installed without a meter, so no compile is retried.
         """
         module = instance.module
         func = module.functions[func_index - len(module.imports)]
+        stats = instance.stats
+        trace = self.config.trace
+        from_tier = current.tier
+        timed = self.config.tier_up_threshold is None
+        pinned = False
+        for rung, cost in reversed(costs):
+            if cost > spent:
+                continue
+            if timed:
+                decision = {"spent_ms": round(spent * 1000.0, 3),
+                            "estimated_compile_ms": round(cost * 1000.0, 3)}
+            else:
+                decision = {"calls": spent, "threshold": cost}
+            try:
+                promoted = self._compile_rung(instance, func, func_index,
+                                              rung)
+            except CompilationError:
+                stats.tier_up_failures += 1
+                pinned = True
+                trace_event(trace, "tier_up.failure", function=func_index,
+                            name=func.name, from_tier=from_tier,
+                            to_tier=rung, **decision)
+                get_registry().counter(
+                    "engine_tier_up_failures_total",
+                    "Tier compilations that failed; the function stays "
+                    "on a lower tier",
+                ).inc(from_tier=from_tier, to_tier=rung)
+                continue
+            stats.tier_ups += 1
+            instance.funcs[func_index] = promoted
+            if not pinned:
+                self._install_tier_up_trigger(instance, func_index,
+                                              spent if timed else 0)
+            if rung == "turbofan":
+                decision["elided"] = promoted.compiled.bounds_checks_elided
+            trace_event(trace, "tier_up", function=func_index,
+                        name=func.name, from_tier=from_tier, to_tier=rung,
+                        **decision)
+            get_registry().counter(
+                "engine_tier_ups_total",
+                "Functions promoted to a higher tier",
+            ).inc(from_tier=from_tier, to_tier=rung)
+            return
+        instance.funcs[func_index] = current
+
+    def _compile_rung(self, instance: Instance, func, func_index: int,
+                      rung: str):
+        """Compile and bind one function for ``rung`` during execution,
+        charging the time to that tier's ``TierStats`` and, when the
+        compile succeeds, to the process-wide rate estimates come from."""
+        module = instance.module
+        stats = instance.stats
+        injector = self.config.fault_injector
         instrumented = instance.profile is not None
-        trace = self.config.trace
-        start = time.perf_counter()
+        start = _clock()
         try:
-            injector = self.config.fault_injector
             if injector is not None:
-                injector.check("turbofan.compile")
-            with trace_span(trace, "compile.turbofan", function=func_index):
-                compiled = TurboFanCompiler(
-                    module,
-                    elide_bounds_checks=self.config.elide_bounds_checks,
-                ).compile(func, func_index, instrumented)
-            optimized = compiled.bind(instance, instance.profile)
-        except CompilationError:
-            instance.stats.turbofan_seconds += time.perf_counter() - start
-            instance.stats.tier_up_failures += 1
-            current = instance.funcs[func_index]
-            instance.funcs[func_index] = getattr(
-                current, "liftoff", current
-            )
-            trace_event(trace, "tier_up.failure", function=func_index)
-            get_registry().counter(
-                "engine_tier_up_failures_total",
-                "TurboFan compilations that bailed out",
-            ).inc()
-            return
-        instance.stats.turbofan_seconds += time.perf_counter() - start
-        instance.stats.turbofan_functions += 1
-        instance.stats.tier_ups += 1
-        instance.stats.bounds_checks_elided += compiled.bounds_checks_elided
-        instance.funcs[func_index] = optimized
-        trace_event(trace, "tier_up", function=func_index,
-                    elided=compiled.bounds_checks_elided)
-        get_registry().counter(
-            "engine_tier_ups_total",
-            "Functions promoted from Liftoff to TurboFan",
-        ).inc()
+                injector.check(f"{rung}.compile")
+            with trace_span(self.config.trace, f"compile.{rung}",
+                            function=func_index):
+                if rung == "turbofan":
+                    compiled = TurboFanCompiler(
+                        module,
+                        elide_bounds_checks=self.config.elide_bounds_checks,
+                    ).compile(func, func_index, instrumented)
+                else:
+                    compiled = LiftoffCompiler(module).compile(
+                        func, func_index, instrumented
+                    )
+            bound = compiled.bind(instance, instance.profile)
+        finally:
+            seconds = _clock() - start
+            if rung == "turbofan":
+                stats.turbofan_seconds += seconds
+            else:
+                stats.liftoff_seconds += seconds
+        compile_rates.record(rung, func.instruction_count(), seconds)
+        if rung == "turbofan":
+            stats.turbofan_functions += 1
+            stats.bounds_checks_elided += compiled.bounds_checks_elided
+        else:
+            stats.liftoff_functions += 1
+        return bound

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import CompilationError, ConfigError
+from repro.observability import get_registry
 from repro.robustness import FaultInjector
 from repro.wasm import ModuleBuilder
 from repro.wasm.runtime import Engine, EngineConfig
@@ -23,10 +24,15 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             EngineConfig(mode="speculative")
 
-    @pytest.mark.parametrize("threshold", [0, -3, 1.5, "2"])
+    @pytest.mark.parametrize("threshold", [0, -3, 1.5, "2", True])
     def test_bad_threshold_rejected_at_construction(self, threshold):
         with pytest.raises(ConfigError):
             EngineConfig(tier_up_threshold=threshold)
+
+    def test_threshold_is_the_cost_meter_or_a_call_count(self):
+        assert EngineConfig().tier_up_threshold is None
+        assert EngineConfig(tier_up_threshold=None).tier_up_threshold is None
+        assert EngineConfig(tier_up_threshold=7).tier_up_threshold == 7
 
     def test_valid_configs_pass(self):
         for mode in ("adaptive", "liftoff", "turbofan", "interpreter"):
@@ -56,6 +62,31 @@ class TestTierUpPinning:
         # one failure, then the raw Liftoff code runs without a counter
         assert instance.stats.tier_up_failures == 1
         assert injector.fired["turbofan.compile"] == 1
+
+    def test_stencil_ladder_pins_liftoff_when_turbofan_fails(self):
+        """The failing rung is not retried from the stencil ladder
+        either, and both counters carry the rungs as labels."""
+        failures = get_registry().counter("engine_tier_up_failures_total")
+        promotions = get_registry().counter("engine_tier_ups_total")
+        failed_before = failures.value(from_tier="liftoff",
+                                       to_tier="turbofan")
+        promoted_before = promotions.value(from_tier="stencil",
+                                           to_tier="liftoff")
+        injector = FaultInjector.always("turbofan.compile")
+        engine = Engine(EngineConfig(mode="adaptive_stencil",
+                                     tier_up_threshold=2,
+                                     fault_injector=injector))
+        instance = engine.instantiate(counter_module())
+        values = [instance.invoke("bump") for _ in range(50)]
+        assert values == list(range(1, 51))
+        assert instance.tier_of("bump") == "liftoff"
+        assert instance.stats.tier_ups == 1
+        assert instance.stats.tier_up_failures == 1
+        assert injector.fired["turbofan.compile"] == 1
+        assert failures.value(from_tier="liftoff", to_tier="turbofan") \
+            == failed_before + 1
+        assert promotions.value(from_tier="stencil", to_tier="liftoff") \
+            == promoted_before + 1
 
     def test_real_compilation_error_is_also_pinned(self, monkeypatch):
         import repro.wasm.runtime.engine as engine_module

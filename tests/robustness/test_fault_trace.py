@@ -24,7 +24,10 @@ def db():
 
 
 def _with_injector(db, injector) -> WasmEngine:
-    engine = WasmEngine(morsel_size=16, fault_injector=injector)
+    # an explicit call threshold: four 16-row morsels must reach the
+    # TurboFan compile site, which the default cost meter would not buy
+    engine = WasmEngine(morsel_size=16, tier_up_threshold=2,
+                        fault_injector=injector)
     db._engines["wasm"] = engine
     return engine
 

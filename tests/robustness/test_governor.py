@@ -103,7 +103,7 @@ class TestQueryBudgets:
 
     def test_memory_budget_fails_oversized_query(self, db):
         engine = db.engine("wasm")
-        engine.max_memory_pages = 8  # far below the 8 MiB heap slack
+        engine.max_memory_pages = 8  # below the 16-page result window
         try:
             with pytest.raises(ResourceExhausted) as err:
                 db.execute("SELECT x, COUNT(*) FROM t GROUP BY x")
@@ -122,4 +122,70 @@ class TestQueryBudgets:
             assert result.rows == reference
         finally:
             engine.timeout_seconds = None
+            engine.max_memory_pages = None
+
+
+class TestHeapGrowth:
+    """The heap starts at the breakers' estimate plus a small slack;
+    hash tables that outgrow it extend it through ``memory.grow``."""
+
+    #: the planner underestimates both: GROUP BY over an expression,
+    #: and a join below filters it takes for selective
+    UNDERESTIMATED = [
+        "SELECT k + v, COUNT(*) FROM big GROUP BY k + v",
+        "SELECT big.id, other.k FROM big, other WHERE big.id = other.id"
+        " AND other.k + 1 > 0 AND other.k * 2 > -1 AND other.k - 5 > -100",
+    ]
+
+    @pytest.fixture(scope="class")
+    def big_db(self):
+        import random
+
+        rng = random.Random(5)
+        database = Database()
+        database.execute(
+            "CREATE TABLE big (id INT PRIMARY KEY, k INT, v INT)")
+        database.table("big").append_rows(
+            [(i, rng.randrange(10**6), i % 97) for i in range(30000)])
+        database.execute("CREATE TABLE other (id INT PRIMARY KEY, k INT)")
+        database.table("other").append_rows(
+            [(i, i) for i in range(30000)])
+        return database
+
+    @staticmethod
+    def _prepare(database, sql):
+        from repro.sql.analyzer import analyze
+        from repro.sql.parser import parse
+
+        stmt = parse(sql)
+        analyze(stmt, database.catalog)
+        plan = database.plan(stmt)
+        engine = database.resolve_engine(database.default_engine)
+        return engine, plan, engine.prepare_executable(plan, database.catalog)
+
+    @pytest.mark.parametrize("sql", UNDERESTIMATED)
+    def test_hash_table_outgrows_the_initial_heap(self, big_db, sql):
+        engine, plan, executable = self._prepare(big_db, sql)
+        initial_pages = executable.space._next_page
+        result = engine.execute_prepared(executable, plan, big_db.catalog)
+        grown = [name for name in executable.space.mappings
+                 if name.startswith("__grow_")]
+        assert grown and executable.space._next_page > initial_pages
+        reference = big_db.execute(sql, engine="vectorized")
+        assert sorted(result.rows) == sorted(reference.rows)
+        assert len(result.rows) > 29000
+
+    def test_page_budget_is_enforced_through_memory_grow(self, big_db):
+        sql = self.UNDERESTIMATED[0]
+        engine, plan, executable = self._prepare(big_db, sql)
+        initial_pages = executable.space._next_page
+        engine = big_db.engine("wasm")
+        # the initial address space fits, the grown hash table does not
+        engine.max_memory_pages = initial_pages + 4
+        try:
+            with pytest.raises(ResourceExhausted) as err:
+                big_db.execute(sql)
+            assert err.value.resource == "memory_pages"
+            assert err.value.phase == "execution"
+        finally:
             engine.max_memory_pages = None

@@ -316,9 +316,15 @@ class TestLadder:
             instance.invoke("main", 4)
         events = trace.find("tier_up")
         assert len(events) == 2
-        assert events[0].attrs == {"function": 0, "from_tier": "stencil",
-                                   "to_tier": "liftoff"}
-        assert events[1].attrs.get("function") == 0  # liftoff -> turbofan
+        assert events[0].attrs == {"function": 0, "name": "main",
+                                   "from_tier": "stencil",
+                                   "to_tier": "liftoff",
+                                   "calls": 2, "threshold": 2}
+        assert events[1].attrs == {"function": 0, "name": "main",
+                                   "from_tier": "liftoff",
+                                   "to_tier": "turbofan",
+                                   "calls": 2, "threshold": 2,
+                                   "elided": 0}
 
     def test_failed_promotion_pins_the_stencil_tier(self):
         injector = FaultInjector.always("liftoff.compile", max_fires=1)
