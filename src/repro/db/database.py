@@ -24,12 +24,14 @@ from repro.catalog.catalog import Catalog
 from repro.catalog.schema import Column, TableSchema
 from repro.costmodel import Profile
 from repro.engines.base import ExecutionResult
+from repro.engines.wasm_engine import QueryRun
 from repro.errors import (
     AnalysisError,
     ConfigError,
     EngineError,
     LintError,
     ReproError,
+    WorkerError,
 )
 from repro.observability.explain import (
     pipeline_stats_from_trace,
@@ -39,10 +41,16 @@ from repro.observability.metrics import get_registry
 from repro.observability.trace import QueryTrace, trace_event, trace_span
 from repro.plan.analysis import PlanLinter, analyze_plan
 from repro.plan.builder import build_logical_plan
+from repro.plan.exprs import bind_params
 from repro.plan.logical import LogicalEmpty
 from repro.plan.logical import explain as explain_logical
 from repro.plan.optimizer import optimize
-from repro.plan.physical import create_physical_plan, explain_physical
+from repro.plan.physical import (
+    collect_params,
+    create_physical_plan,
+    explain_physical,
+    reestimate_with_observed,
+)
 from repro.plan.pipeline import dissect_into_pipelines
 from repro.sql import ast
 from repro.robustness.fallback import (
@@ -113,6 +121,13 @@ class Database:
         self.plan_lint = plan_lint
         self.workers = workers
         self._parallel = None  # lazy ParallelExecutor; see .parallel
+        registry = get_registry()
+        self._queries_total = registry.counter(
+            "queries_total", "Queries executed, by engine"
+        )
+        self._query_seconds = registry.histogram(
+            "query_seconds", "End-to-end query time (engine phases)"
+        )
 
     @staticmethod
     def _normalize_fallback(fallback, max_attempts: int | None = None):
@@ -165,36 +180,32 @@ class Database:
         raw-rows hooks workers drive."""
         return self.workers > 0 and parse_engine_spec(spec)[0] == "wasm"
 
-    def _try_parallel(self, plan, spec: str, qtrace, fp: str | None = None,
-                      decision=None, params: list | None = None,
-                      deadline=None, cancel_token=None, dispatcher=None):
+    def _try_parallel(self, plan, spec: str, run: QueryRun, decision=None,
+                      fp: str | None = None):
         """One parallel attempt; ``None`` means run in-process instead.
 
-        The one parallel front door of both ``execute`` and the query
-        service (which passes its cached ``decision``, the statement
-        fingerprint keying the workers' executable caches, the bound
-        parameters, its deadline/cancel token, and a ``dispatcher``
-        routing tasks through the scheduler's fair turnstile).
+        The query service passes its cached contract ``decision`` and
+        the statement fingerprint keying the workers' executable caches;
+        bound parameters, deadline, cancel token and the dispatcher
+        through the scheduler's turnstile come from ``run``.
 
         Pool-level failures (:class:`~repro.errors.WorkerError`) degrade
         silently — the query still runs, on the driver.  Real query
         errors from a worker propagate with their original types, just
         like an in-process run.
         """
-        from repro.errors import WorkerError
-
         executor = self.parallel
         if executor is None or not executor.healthy:
             return None
         try:
             return executor.execute(
                 plan, self.catalog, spec, decision=decision, fp=fp,
-                params=params, deadline=deadline,
-                cancel_token=cancel_token, trace=qtrace,
-                dispatcher=dispatcher,
+                params=run.param_values, deadline=run.deadline,
+                cancel_token=run.cancel_token, trace=run.trace,
+                dispatcher=run.dispatcher,
             )
         except WorkerError as err:
-            trace_event(qtrace, "parallel.degraded",
+            trace_event(run.trace, "parallel.degraded",
                         error=type(err).__name__, message=str(err))
             get_registry().counter(
                 "parallel_degraded_total",
@@ -289,20 +300,65 @@ class Database:
         with trace_span(qtrace, "analyze"):
             analyze(stmt, self.catalog)
 
+        if isinstance(stmt, self.WRITE_STATEMENTS):
+            return self.apply_write(stmt)
+        if isinstance(stmt, (ast.Prepare, ast.Execute, ast.Deallocate)):
+            raise EngineError(
+                "PREPARE/EXECUTE/DEALLOCATE need a session — connect "
+                "through repro.server.QueryService instead of Database"
+            )
+        if isinstance(stmt, (ast.Cancel, ast.ShowQueries, ast.SetOption)):
+            raise EngineError(
+                "CANCEL/SHOW QUERIES/SET need the query service — "
+                "connect through repro.server.QueryService instead of "
+                "Database"
+            )
+
+        if isinstance(stmt, ast.Explain):
+            return self.explain_statement(stmt, engine, qtrace, profile)
+
+        with trace_span(qtrace, "plan"):
+            plan = self.plan(stmt, trace=qtrace)
+        policy = self.fallback if fallback is ... \
+            else self._normalize_fallback(fallback)
+        primary = engine or self.default_engine
+        specs = [primary] if policy is None \
+            else policy.attempts_for(primary)
+
+        def run_one(spec):
+            trace_event(qtrace, "engine.attempt", engine=spec)
+            try:
+                return self.run_plan(
+                    plan, spec, QueryRun(profile=profile, trace=qtrace))
+            except ReproError as err:
+                trace_event(qtrace, "engine.attempt_failed", engine=spec,
+                            error=type(err).__name__)
+                raise
+
+        result, failures = execute_with_fallback(specs, run_one)
+        result.fallback_attempts = [
+            (spec, f"{type(err).__name__}: {err}") for spec, err in failures
+        ]
+        return result
+
+    #: What :meth:`apply_write` takes: whatever changes catalog or data.
+    WRITE_STATEMENTS = (ast.CreateTable, ast.CreateIndex, ast.Insert)
+
+    def apply_write(self, stmt) -> None:
+        """Apply one *analyzed* DDL/DML statement — the single write
+        path of ``execute`` and of the query service (which calls it
+        under its write lock with the statement it already parsed)."""
         if isinstance(stmt, ast.CreateTable):
             schema = TableSchema(stmt.name, [
                 Column(col.name, col.ty, col.primary_key)
                 for col in stmt.columns
             ])
             self.catalog.add(Table.empty(schema))
-            return None
+            return
+        table = self.catalog.get(stmt.table)
         if isinstance(stmt, ast.CreateIndex):
-            table = self.catalog.get(stmt.table)
             table.create_index(stmt.column, stmt.name)
-            self.catalog.bump_version()
-            return None
-        if isinstance(stmt, ast.Insert):
-            table = self.catalog.get(stmt.table)
+        else:
             rows = [
                 tuple(self._literal_value(v) for v in row)
                 for row in stmt.rows
@@ -319,67 +375,52 @@ class Database:
                         ) from None
                 rows = [tuple(row[i] for i in order) for row in rows]
             table.append_rows(rows)
-            self.catalog.bump_version()
-            return None
-        if isinstance(stmt, (ast.Prepare, ast.Execute, ast.Deallocate)):
-            raise EngineError(
-                "PREPARE/EXECUTE/DEALLOCATE need a session — connect "
-                "through repro.server.QueryService instead of Database"
-            )
-        if isinstance(stmt, (ast.Cancel, ast.ShowQueries, ast.SetOption)):
-            raise EngineError(
-                "CANCEL/SHOW QUERIES/SET need the query service — "
-                "connect through repro.server.QueryService instead of "
-                "Database"
-            )
+        self.catalog.bump_version()
 
-        if isinstance(stmt, ast.Explain):
-            return self._run_explain(stmt, engine, profile, qtrace)
+    def run_plan(self, plan, spec: str, run: QueryRun, executable=None,
+                 decision=None, fp: str | None = None) -> ExecutionResult:
+        """Run one planned SELECT on ``spec``: the single execution path
+        under ``execute``, ``EXPLAIN ANALYZE``, the query service and
+        the parallel workers.
 
-        with trace_span(qtrace, "plan"):
-            plan = self.plan(stmt, trace=qtrace)
-        policy = self.fallback if fallback is ... \
-            else self._normalize_fallback(fallback)
-        primary = engine or self.default_engine
-        if policy is None:
-            specs = [primary]
+        ``run`` carries what this execution is given and comes back
+        filled in as ``result.run``.  With a worker pool and a Wasm spec
+        the pool goes first (:meth:`_try_parallel`); when it declines
+        the plan runs in-process — re-running the caller's cached
+        ``executable``, else compiling from scratch.  A caching caller
+        (it passed its ``decision``) without an executable, because the
+        workers were to compile the plan, gets one compiled here once
+        the pool degrades: ``run.prepared``.  The result is tagged with
+        the requested spec and counted in ``queries_total``.
+        """
+        engine = self.resolve_engine(spec)
+        result = None
+        if self._parallel_eligible(spec):
+            result = self._try_parallel(plan, spec, run, decision, fp)
+            if result is None and executable is None \
+                    and decision is not None:
+                executable = run.prepared = engine.prepare_executable(
+                    plan, self.catalog, QueryRun(trace=run.trace))
+        if result is not None:
+            pass  # the pool answered
+        elif executable is not None:
+            result = engine.execute_prepared(executable, plan,
+                                             self.catalog, run)
         else:
-            specs = policy.attempts_for(primary)
-
-        def run_one(spec):
-            trace_event(qtrace, "engine.attempt", engine=spec)
-            try:
-                result = None
-                if self._parallel_eligible(spec):
-                    result = self._try_parallel(plan, spec, qtrace)
-                if result is None:
-                    result = self.resolve_engine(spec).execute(
-                        plan, self.catalog, profile=profile, trace=qtrace
-                    )
-            except ReproError as err:
-                trace_event(qtrace, "engine.attempt_failed", engine=spec,
-                            error=type(err).__name__)
-                raise
-            result.engine = spec  # report the variant, e.g. wasm[interpreter]
-            return result
-
-        result, failures = execute_with_fallback(specs, run_one)
-        result.fallback_attempts = [
-            (spec, f"{type(err).__name__}: {err}") for spec, err in failures
-        ]
-        result.trace = qtrace
-        registry = get_registry()
-        registry.counter(
-            "queries_total", "Queries executed, by engine"
-        ).inc(engine=result.engine)
-        registry.histogram(
-            "query_seconds", "End-to-end query time (engine phases)"
-        ).observe(sum(result.timings.phases.values()))
+            if run.param_values is not None:
+                bind_params(collect_params(plan), run.param_values)
+            result = engine.execute(plan, self.catalog,
+                                    profile=run.profile, trace=run.trace)
+        result.engine = spec  # report the variant, e.g. wasm[interpreter]
+        result.trace = run.trace
+        self._queries_total.inc(engine=spec)
+        self._query_seconds.observe(sum(result.timings.phases.values()))
         return result
 
-    def _run_explain(self, stmt: ast.Explain, engine: str | None,
-                     profile: Profile | None, qtrace):
-        """``EXPLAIN [ANALYZE]``: the plan (with observed stats) as rows."""
+    def explain_statement(self, stmt: ast.Explain, engine: str | None,
+                          qtrace, profile: Profile | None = None):
+        """An analyzed ``EXPLAIN [ANALYZE] <select>``: the plan (with
+        observed stats) as rows."""
         if isinstance(stmt.statement, ast.Execute):
             raise EngineError(
                 "EXPLAIN EXECUTE needs a session — connect through "
@@ -387,41 +428,51 @@ class Database:
             )
         with trace_span(qtrace, "plan"):
             plan = self.plan(stmt.statement, trace=qtrace)
-        spec = engine or self.default_engine
         if not stmt.analyze:
-            lines = ["EXPLAIN"] + explain_physical(plan).split("\n")
-            return self._text_result(lines, trace=qtrace)
-
+            return self.explain_result(plan, qtrace)
         # ANALYZE executes the query for real — under a trace, always,
         # on the resolved engine alone (no fallback: the annotation must
         # describe the engine the user asked about).
-        run_trace = qtrace if qtrace is not None else QueryTrace()
-        trace_event(run_trace, "engine.attempt", engine=spec)
-        if self._parallel_eligible(spec):
-            executed = self._try_parallel(plan, spec, run_trace)
-            if executed is not None:
-                from repro.parallel.executor import parallel_explain_lines
+        spec = engine or self.default_engine
+        run = QueryRun(profile=profile,
+                       trace=qtrace if qtrace is not None else QueryTrace())
+        trace_event(run.trace, "engine.attempt", engine=spec)
+        return self.explain_analyze_result(
+            plan, spec, self.run_plan(plan, spec, run))
 
-                lines = (["EXPLAIN ANALYZE"]
-                         + explain_physical(plan).split("\n")
-                         + parallel_explain_lines(executed.parallel))
-                result = self._text_result(lines, trace=run_trace)
-                result.analyzed = executed
-                return result
-        eng = self.resolve_engine(spec)
-        executed = eng.execute(
-            plan, self.catalog, profile=profile, trace=run_trace
-        )
+    @classmethod
+    def explain_result(cls, plan, trace=None) -> ExecutionResult:
+        """Plain ``EXPLAIN``: the physical plan as a one-column result."""
+        lines = ["EXPLAIN"] + explain_physical(plan).split("\n")
+        return cls._text_result(lines, trace=trace)
+
+    @classmethod
+    def explain_analyze_result(cls, plan, spec: str,
+                               executed: ExecutionResult,
+                               cache: str | None = None,
+                               feedback_lines: list[str] | None = None,
+                               ) -> ExecutionResult:
+        """``EXPLAIN ANALYZE`` of a finished traced run, for both front
+        doors: per-pipeline stats folded from ``executed.trace``, the
+        annotated plan, the per-worker task lines when the pool produced
+        the rows.  The service adds ``cache`` and ``feedback_lines``."""
         stats = pipeline_stats_from_trace(
-            run_trace, dissect_into_pipelines(plan)
+            executed.trace, dissect_into_pipelines(plan)
         )
-        shapes = getattr(eng, "last_pipeline_shapes", None) or {}
-        for stat in stats:
-            stat.shape = shapes.get(stat.index, "")
+        if executed.run is not None:
+            shapes = {p.index: p.shape for p in executed.run.pipelines}
+            for stat in stats:
+                stat.shape = shapes.get(stat.index, "")
         lines = render_explain_analyze(
-            plan, run_trace, stats, spec, total_rows=len(executed.rows)
+            plan, executed.trace, stats, spec,
+            total_rows=len(executed.rows), cache=cache,
+            feedback_lines=feedback_lines,
         )
-        result = self._text_result(lines, trace=run_trace)
+        if executed.parallel is not None:
+            from repro.parallel.executor import parallel_explain_lines
+
+            lines += parallel_explain_lines(executed.parallel)
+        result = cls._text_result(lines, trace=executed.trace)
         result.pipeline_stats = stats
         result.analyzed = executed  # the real result, for assertions
         return result
@@ -449,7 +500,9 @@ class Database:
         for it), and the :class:`PlanAnalysis` rides on the physical
         root as ``plan.analysis`` for engines, EXPLAIN, and the plan
         cache.  Under ``plan_lint="warn"``/``"strict"`` the PlanLinter
-        checks inter-operator invariants inside a ``plan.lint`` span.
+        checks inter-operator invariants inside a ``plan.lint`` span and
+        its findings are *enforced*: warnings, or a
+        :class:`~repro.errors.LintError`.
 
         ``observed`` (an :class:`~repro.plan.cardinality.
         ObservedCardinalities` from the feedback store) re-plans with
@@ -457,6 +510,17 @@ class Database:
         analysis row bounds tighten, and the physical estimates — which
         size breaker heaps — follow the measurements.
         """
+        return self._plan(stmt, trace, observed, enforce_lint=True)[1]
+
+    def _plan(self, stmt: ast.Select, trace, observed, enforce_lint: bool):
+        """Build, optimize, analyze, lint, fold, lower: the six steps
+        under :meth:`plan` and :meth:`explain`.  Returns the logical
+        plan as lowered and the physical plan.
+
+        The one place lint policy is decided: ``plan`` *enforces* (a
+        strict database raises, a warning one warns); ``explain`` only
+        records the diagnostics on the analysis, whose rendering shows
+        them — it must not refuse to show the plan it complains about."""
         logical = build_logical_plan(stmt, self.catalog)
         dropped: list[str] = []
         optimized = optimize(logical, self.catalog, report=dropped,
@@ -469,46 +533,38 @@ class Database:
             with trace_span(trace, "plan.lint"):
                 diagnostics = PlanLinter(optimized).lint()
                 analysis.lint = list(diagnostics)
-                if diagnostics and self.plan_lint == "strict":
-                    raise LintError(diagnostics)
-                for diag in diagnostics:
-                    warnings.warn(f"plan lint: {diag.render()}")
+                if enforce_lint:
+                    if diagnostics and self.plan_lint == "strict":
+                        raise LintError(diagnostics)
+                    for diag in diagnostics:
+                        warnings.warn(f"plan lint: {diag.render()}")
         if analysis.proven_empty:
             optimized = LogicalEmpty(optimized.output_columns,
                                      analysis.empty_reason)
         physical = create_physical_plan(optimized, self.catalog)
         if observed:
-            from repro.plan.physical import reestimate_with_observed
-
             reestimate_with_observed(physical, observed)
         physical.analysis = analysis
-        return physical
+        return optimized, physical
 
     def explain(self, sql: str) -> str:
-        """Logical plan, physical plan, analysis facts, and pipelines."""
+        """Logical plan, physical plan, analysis facts, and pipelines.
+
+        Plans exactly as :meth:`plan` does, except that plan-lint
+        diagnostics are *shown* (``lint:`` lines of the analysis
+        section) under ``"warn"`` and ``"strict"`` alike, never raised."""
         stmt = parse(sql)
         analyze(stmt, self.catalog)
-        dropped: list[str] = []
-        logical = optimize(build_logical_plan(stmt, self.catalog),
-                           self.catalog, report=dropped)
-        analysis = analyze_plan(logical, self.catalog)
-        analysis.dropped_conjuncts = dropped
-        if self.plan_lint != "off":
-            analysis.lint = PlanLinter(logical).lint()
-        if analysis.proven_empty:
-            logical = LogicalEmpty(logical.output_columns,
-                                   analysis.empty_reason)
-        physical = create_physical_plan(logical, self.catalog)
-        pipelines = dissect_into_pipelines(physical)
+        logical, physical = self._plan(stmt, None, None, enforce_lint=False)
         parts = [
             "== logical ==",
             explain_logical(logical),
             "== physical ==",
             explain_physical(physical),
             "== analysis ==",
-            *(analysis.describe() or ["(no derived facts)"]),
+            *(physical.analysis.describe() or ["(no derived facts)"]),
             "== pipelines ==",
-            *(p.describe() for p in pipelines),
+            *(p.describe() for p in dissect_into_pipelines(physical)),
         ]
         return "\n".join(parts)
 

@@ -82,6 +82,13 @@ class ExecutionResult:
     #: The :class:`~repro.observability.QueryTrace` recorded for this
     #: query, when tracing was requested; ``None`` otherwise.
     trace: object | None = None
+    #: The :class:`~repro.engines.wasm_engine.QueryRun` that produced
+    #: this result (per-pipeline measurements, tier stats, shapes);
+    #: ``None`` from engines that keep no such record.
+    run: object | None = None
+    #: The pool's dispatch report (mode, partitions, per-task morsels)
+    #: when worker processes produced the rows; ``None`` in-process.
+    parallel: dict | None = None
 
     @property
     def degraded(self) -> bool:
@@ -141,10 +148,21 @@ class QueryEngine:
 
     name = "abstract"
 
+    #: The code tiers this engine's functions climb, lowest first; empty
+    #: for engines without a ladder (nothing to guard with a breaker).
+    tier_ladder: tuple[str, ...] = ()
+
     def execute(self, plan: PhysicalOperator, catalog: Catalog,
                 profile: Profile | None = None,
                 trace=None) -> ExecutionResult:
         raise NotImplementedError
+
+    def prepare_executable(self, plan: PhysicalOperator, catalog: Catalog,
+                           run=None):
+        """Compile ``plan`` into something a plan cache can re-run, or
+        ``None`` — the default — for engines that interpret the plan on
+        every :meth:`execute`."""
+        return None
 
     @staticmethod
     def finalize_rows(plan: PhysicalOperator, storage_rows) -> ExecutionResult:

@@ -44,8 +44,9 @@ from repro.plan.pipeline import dissect_into_pipelines
 from repro.robustness.governor import ResourceGovernor
 from repro.storage.rewiring import WASM_PAGE_SIZE, AddressSpace
 from repro.wasm.runtime import Engine, EngineConfig, LinearMemory
+from repro.wasm.runtime.engine import TIER_LADDERS
 
-__all__ = ["WasmEngine", "WasmExecutable"]
+__all__ = ["QueryRun", "WasmEngine", "WasmExecutable"]
 
 #: Heap beyond the pipeline breakers' estimated needs.  Kept small: the
 #: whole heap is zero-filled per executable and pinned until the
@@ -71,9 +72,62 @@ class WasmExecutable:
     engine: Engine
     memory: LinearMemory
     instance: object = None       # set right after instantiation
-    chunked: dict = field(default_factory=dict)  # binding -> window rows
     executions: int = 0
     rows: list = field(default_factory=list)     # drained result rows
+
+
+@dataclass(slots=True)
+class QueryRun:
+    """What one execution is given, and what it produced.
+
+    The engine object holds knobs only; what belongs to a single run
+    travels in this record, so one engine serves any number of threads
+    and the worker processes alike.  A field left at its default arms
+    nothing; the measurements come back as ``result.run``.
+    """
+
+    # -- given ---------------------------------------------------------------
+    #: The :class:`~repro.robustness.resilience.Deadline` carried since
+    #: admission (queue wait debits the budget the governor enforces).
+    deadline: object = None
+    #: A :class:`~repro.robustness.resilience.CancelToken` checked at
+    #: every morsel boundary: ``CANCEL`` aborts within one morsel.
+    cancel_token: object = None
+    #: Called before each morsel; the query service parks threads in its
+    #: fair turnstile here so concurrent queries round-robin.
+    morsel_hook: object = None
+    #: How a parallel run's tasks reach the pool: through that same
+    #: turnstile for the service, directly when ``None``.
+    dispatcher: object = None
+    #: ``(binding, begin, end)``: pipelines scanning that binding execute
+    #: only this row range — a parallel worker's partition of the table.
+    partition: tuple | None = None
+    #: Return storage-representation rows: the parallel driver merges
+    #: partitions at the storage level and finalizes exactly once (empty-
+    #: partition aggregate sentinels are combined away, never converted).
+    raw_rows: bool = False
+    #: Storage-representation values of ``$1..$n`` for this execution.
+    param_values: list | None = None
+    trace: object = None
+    profile: Profile | None = None
+    #: ``execute`` arms the governor before compiling, so compile time
+    #: counts against the budget; ``execute_prepared`` arms one if unset.
+    governor: ResourceGovernor | None = None
+    # -- produced ------------------------------------------------------------
+    timings: Timings = field(default_factory=Timings)
+    #: Per pipeline ``{index, function, rows_in, rows_out, morsels,
+    #: seconds}``, recorded unconditionally (no trace required): the
+    #: feedback store harvests these to compute Q-Errors.
+    pipeline_stats: list[dict] = field(default_factory=list)
+    morsels_total: int = 0
+    rewires: int = 0   # table chunks re-wired into the window (Figure 5)
+    #: The executed query's ``PipelineInfo`` list, whose operator-shape
+    #: descriptors EXPLAIN ANALYZE prints.
+    pipelines: list = field(default_factory=list)
+    tier_stats: object = None   # the executed instance's TierStats
+    #: What ``Database.run_plan`` compiled because the pool degraded
+    #: under a plan left to the workers; the caller's cache keeps it.
+    prepared: WasmExecutable | None = None
 
 
 def _scans_of(plan: P.PhysicalOperator):
@@ -81,6 +135,11 @@ def _scans_of(plan: P.PhysicalOperator):
         yield plan
     for child in plan.children:
         yield from _scans_of(child)
+
+
+def _table_scanned_as(binding: str, plan, catalog):
+    scan = next(s for s in _scans_of(plan) if s.binding == binding)
+    return scan, catalog.get(scan.table_name)
 
 
 def _breakers_of(plan: P.PhysicalOperator):
@@ -142,46 +201,20 @@ class WasmEngine(QueryEngine):
         self.lint = lint
         self.elide_bounds_checks = elide_bounds_checks
         self.fault_injector = fault_injector
-        self.last_tier_stats = None  # TierStats of the most recent execute()
-        # pipeline index -> backend operator-shape descriptor of the most
-        # recently prepared query (EXPLAIN ANALYZE surfaces these)
-        self.last_pipeline_shapes: dict[int, str] = {}
-        # Optional cooperative-scheduling callback, invoked once per
-        # morsel before the pipeline function runs.  The query service's
-        # fair scheduler parks threads here so concurrent queries
-        # round-robin at morsel boundaries.
-        self.morsel_hook = None
-        # Optional service-level resilience hooks, set per execution by
-        # the query service: a shared Deadline (admission wait debits
-        # the same budget the governor enforces) and a CancelToken
-        # checked at every morsel boundary, so CANCEL from another
-        # session aborts within one morsel.
-        self.deadline = None
-        self.cancel_token = None
         # Figure 5: tables larger than this window (in rows) are not
         # mapped whole; the host re-wires chunk after chunk into a fixed
         # window while the pipeline runs (rewire_next_chunk).  None maps
         # every table completely (possible whenever it fits in 4 GiB).
         self.table_window_rows = table_window_rows
-        # Parallel workers (repro.parallel): when set to a
-        # ``(binding, begin, end)`` triple, pipelines scanning that
-        # binding execute only the given row range — the worker's
-        # partition of the table.  All other pipelines are unaffected.
-        self.partition = None
-        # When true, execute_prepared skips the from_storage conversion
-        # and returns storage-representation rows; the parallel driver
-        # merges partition results at the storage level and finalizes
-        # exactly once (empty-partition aggregate sentinels must be
-        # combined away, never converted).
-        self.raw_rows = False
-        # Morsels driven by the most recent execute_prepared, summed
-        # over all pipelines (per-worker EXPLAIN ANALYZE accounting).
+        # What the most recent execute() measured, for harnesses that
+        # hold an engine of their own; nothing in this package reads it.
+        self.last_tier_stats = None
         self.last_morsels_total = 0
-        # Per-pipeline measurements of the most recent execute_prepared
-        # — dicts of {index, function, rows_in, rows_out, morsels,
-        # seconds}.  Populated unconditionally (no trace required): the
-        # feedback store harvests these to compute Q-Errors.
         self.last_pipeline_stats: list[dict] = []
+
+    @property
+    def tier_ladder(self) -> tuple[str, ...]:
+        return TIER_LADDERS.get(self.mode, ())  # bad modes fail at compile
 
     # -- compilation -----------------------------------------------------------
 
@@ -216,7 +249,6 @@ class WasmEngine(QueryEngine):
         value_ranges: dict[tuple[str, str], tuple[int, int]] = {}
         analysis = getattr(plan, "analysis", None)
         scan_hints = getattr(analysis, "scan_facts", None) or {}
-        self._chunked: dict[str, int] = {}  # binding -> window rows
         for scan in _scans_of(plan):
             table = catalog.get(scan.table_name)
             row_counts[scan.binding] = table.row_count
@@ -246,8 +278,6 @@ class WasmEngine(QueryEngine):
             window = self.table_window_rows
             chunked = (window is not None and table.row_count > window
                        and isinstance(scan, P.SeqScan))
-            if chunked:
-                self._chunked[scan.binding] = window
             # one pipeline invocation never sees a row index past the
             # mapped extent: the chunk window when chunked, else the table
             extent_rows[scan.binding] = window if chunked \
@@ -308,47 +338,48 @@ class WasmEngine(QueryEngine):
                 trace=None) -> ExecutionResult:
         if isinstance(plan, P.EmptyResult):
             return self.execute_folded(plan, profile, trace)
-        timings = Timings()
-        governor = ResourceGovernor(self.timeout_seconds,
-                                    self.max_memory_pages,
-                                    deadline=self.deadline).start()
-        governor.trace = trace
+        run = QueryRun(profile=profile, trace=trace)
+        run.governor = self._governor(run)
         if self.fault_injector is not None:
             self.fault_injector.trace = trace
-        executable = self.prepare_executable(
-            plan, catalog, governor=governor, trace=trace,
-            profile=profile, timings=timings,
-        )
-        return self.execute_prepared(
-            executable, plan, catalog, profile=profile, trace=trace,
-            governor=governor, timings=timings,
-        )
+        executable = self.prepare_executable(plan, catalog, run)
+        result = self.execute_prepared(executable, plan, catalog, run)
+        self.last_pipeline_stats = run.pipeline_stats
+        self.last_tier_stats = run.tier_stats
+        self.last_morsels_total = run.morsels_total
+        return result
+
+    def _governor(self, run: QueryRun) -> ResourceGovernor:
+        """This engine's budgets plus the run's deadline, clock started."""
+        governor = ResourceGovernor(self.timeout_seconds,
+                                    self.max_memory_pages,
+                                    deadline=run.deadline).start()
+        governor.trace = run.trace
+        return governor
 
     def prepare_executable(self, plan: P.PhysicalOperator, catalog: Catalog,
-                           governor: ResourceGovernor | None = None,
-                           trace=None, profile: Profile | None = None,
-                           timings: Timings | None = None) -> WasmExecutable:
+                           run: QueryRun | None = None) -> WasmExecutable:
         """Translate, compile, and instantiate — everything up to (but
         not including) running the pipelines.  The returned executable
         can be executed repeatedly via :meth:`execute_prepared`; the plan
         cache stores exactly this object.  Plans folded to
         :class:`~repro.plan.physical.EmptyResult` have nothing to
-        compile and return ``None`` — the cache stores the plan alone."""
+        compile and return ``None`` — the cache stores the plan alone.
+        ``run`` supplies trace, profile, cancel token and (from
+        :meth:`execute`) the governor; omitted, nothing is checked."""
         if isinstance(plan, P.EmptyResult):
             return None
-        timings = timings if timings is not None else Timings()
+        run = run if run is not None else QueryRun()
+        governor, trace, timings = run.governor, run.trace, run.timings
         if governor is not None:
             governor.phase = "translation"
         compiled, space = self.compile_query(plan, catalog, timings,
                                              governor, trace)
-        self.last_pipeline_shapes = {
-            info.index: info.shape for info in compiled.pipelines
-        }
         if governor is not None:
             governor.check()
             governor.phase = "compile"
-        if self.cancel_token is not None:
-            self.cancel_token.raise_if_cancelled(phase="translation")
+        if run.cancel_token is not None:
+            run.cancel_token.raise_if_cancelled(phase="translation")
         engine = Engine(EngineConfig(
             mode=self.mode, tier_up_threshold=self.tier_up_threshold,
             lint=self.lint, elide_bounds_checks=self.elide_bounds_checks,
@@ -359,7 +390,6 @@ class WasmEngine(QueryEngine):
         memory.fault_injector = self.fault_injector
         executable = WasmExecutable(
             compiled=compiled, space=space, engine=engine, memory=memory,
-            chunked=dict(self._chunked),
         )
 
         def flush_results():
@@ -376,37 +406,34 @@ class WasmEngine(QueryEngine):
             ("env", "like_generic"): like_generic,
         }
         instance = engine.instantiate(
-            compiled.module, imports=imports, memory=memory, profile=profile
+            compiled.module, imports=imports, memory=memory,
+            profile=run.profile,
         )
         executable.instance = instance
-        self.last_tier_stats = instance.stats
         # instantiation time counts as compilation (stencil/Liftoff/TurboFan)
         timings.add("compile_stencil", instance.stats.stencil_seconds)
         timings.add("compile_liftoff", instance.stats.liftoff_seconds)
         timings.add("compile_turbofan", instance.stats.turbofan_seconds)
         if governor is not None:
             governor.check()
-        if self.cancel_token is not None:
-            self.cancel_token.raise_if_cancelled(phase="compile")
+        if run.cancel_token is not None:
+            run.cancel_token.raise_if_cancelled(phase="compile")
         return executable
 
     def execute_prepared(self, executable: WasmExecutable,
                          plan: P.PhysicalOperator, catalog: Catalog,
-                         profile: Profile | None = None, trace=None,
-                         governor: ResourceGovernor | None = None,
-                         timings: Timings | None = None,
-                         param_values: list | None = None) -> ExecutionResult:
+                         run: QueryRun | None = None) -> ExecutionResult:
         """Run (or re-run) an executable.  On re-runs the instance's
         mutable state is reset first; tier state carries over, so a
-        cached query keeps its optimized code.  ``param_values`` are
+        cached query keeps its optimized code.  ``run.param_values`` are
         storage-representation values written into the module's
-        parameter slots after the reset."""
-        timings = timings if timings is not None else Timings()
-        if governor is None:
-            governor = ResourceGovernor(self.timeout_seconds,
-                                        self.max_memory_pages,
-                                        deadline=self.deadline).start()
-            governor.trace = trace
+        parameter slots after the reset; ``run`` comes back, with this
+        execution's measurements, as ``result.run``."""
+        run = run if run is not None else QueryRun()
+        trace, timings = run.trace, run.timings
+        if run.governor is None:
+            run.governor = self._governor(run)
+        governor = run.governor
         # re-attach: page growth during this run charges this run's budget,
         # and tier-ups bought during it are recorded in this run's trace
         executable.space.governor = governor
@@ -414,22 +441,19 @@ class WasmEngine(QueryEngine):
         governor.phase = "execution"
         instance = executable.instance
         compiled = executable.compiled
-        self._chunked = dict(executable.chunked)
         if executable.executions > 0:
             self._reset_instance(executable)
         executable.executions += 1
-        if param_values is not None:
-            self.bind_wasm_params(executable, param_values)
+        if run.param_values is not None:
+            self.bind_wasm_params(executable, run.param_values)
         executable.rows = []
         rows = executable.rows
-        self.last_tier_stats = instance.stats
+        stats = run.tier_stats = instance.stats
+        run.pipelines = compiled.pipelines
+        gate = self._morsel_gate(run)
 
-        self._rewire_count = 0
-        self.last_morsels_total = 0
-        self.last_pipeline_stats = []
-        compile_before = (instance.stats.stencil_seconds,
-                          instance.stats.liftoff_seconds,
-                          instance.stats.turbofan_seconds)
+        compile_before = (stats.stencil_seconds, stats.liftoff_seconds,
+                          stats.turbofan_seconds)
         with Stopwatch(timings, "execution"), \
                 trace_span(trace, "execution", engine=self.name):
             instance.invoke("init")
@@ -440,23 +464,22 @@ class WasmEngine(QueryEngine):
                     source=f"{info.source_kind}:{info.source_name}",
                 ) as span:
                     rows_before = len(rows)
-                    self._last_rows_in = 0
                     pipeline_start = time.perf_counter()
-                    morsels = self._run_pipeline(
-                        instance, compiled, info, rows,
-                        plan, catalog, governor, pipeline_index, trace
+                    rows_in, morsels = self._run_pipeline(
+                        executable, info, plan, catalog, pipeline_index,
+                        run, gate,
                     )
                     pipeline_seconds = time.perf_counter() - pipeline_start
-                    self.last_morsels_total += morsels
+                    run.morsels_total += morsels
                     if info.is_final:
                         self._drain(instance, compiled, rows)
                     rows_out = self._pipeline_rows_out(
                         instance, info, rows, rows_before
                     )
-                    self.last_pipeline_stats.append({
+                    run.pipeline_stats.append({
                         "index": pipeline_index,
                         "function": info.function,
-                        "rows_in": self._last_rows_in,
+                        "rows_in": rows_in,
                         "rows_out": rows_out,
                         "morsels": morsels,
                         "seconds": pipeline_seconds,
@@ -470,7 +493,6 @@ class WasmEngine(QueryEngine):
         # attributed to the tier that did the compiling: a stencil->Liftoff
         # promotion spends Liftoff seconds, a Liftoff->TurboFan one
         # TurboFan seconds
-        stats = instance.stats
         for phase, before, after in (
             ("compile_stencil", compile_before[0], stats.stencil_seconds),
             ("compile_liftoff", compile_before[1], stats.liftoff_seconds),
@@ -498,7 +520,7 @@ class WasmEngine(QueryEngine):
                 stencil_fallbacks=stats.stencil_fallbacks,
             )
         trace_event(trace, "tier_stats", **tier_attrs)
-        if self.raw_rows:
+        if run.raw_rows:
             result = ExecutionResult(
                 column_names=[c.name for c in plan.output],
                 column_types=plan.output_types,
@@ -508,9 +530,34 @@ class WasmEngine(QueryEngine):
             result = self.finalize_rows(plan, rows)
         result.engine = self.name
         result.timings = timings
-        result.profile = profile
+        result.profile = run.profile
         result.trace = trace
+        result.run = run
         return result
+
+    def _morsel_gate(self, run: QueryRun):
+        """The per-morsel prologue, composed once per run from what is
+        armed — cancellation, the governor's clock, the ``trap.morsel``
+        fault site, the scheduler's turnstile, in that order — as
+        ``gate(pipeline_index, morsel)``; ``None`` when nothing is, so
+        an unarmed run pays for no check at all."""
+        token, governor = run.cancel_token, run.governor
+        injector, hook = self.fault_injector, run.morsel_hook
+        checks = [check for armed, check in (
+            (token is not None, lambda p, m: token.raise_if_cancelled(
+                phase="execution", pipeline_index=p, morsel=m)),
+            (governor.timed, lambda p, m: governor.check(
+                pipeline_index=p, morsel=m)),
+            (injector is not None, lambda p, m: injector.check("trap.morsel")),
+            (hook is not None, lambda p, m: hook()),
+        ) if armed]
+        if not checks:
+            return None
+
+        def gate(pipeline_index, morsel):
+            for check in checks:
+                check(pipeline_index, morsel)
+        return gate
 
     def _reset_instance(self, executable: WasmExecutable) -> None:
         """Restore a cached instance for the next execution.
@@ -565,19 +612,16 @@ class WasmEngine(QueryEngine):
             return 1
         return 0
 
-    def _run_pipeline(self, instance, compiled: CompiledQuery, info,
-                      rows: list, plan, catalog,
-                      governor: ResourceGovernor | None = None,
-                      pipeline_index: int | None = None,
-                      trace=None) -> int:
-        """Run one pipeline to completion; returns the morsel count."""
+    def _run_pipeline(self, executable: WasmExecutable, info, plan, catalog,
+                      pipeline_index: int, run: QueryRun,
+                      gate) -> tuple[int, int]:
+        """Run one pipeline to completion; returns the input rows it
+        was driven over (feedback harvesting) and the morsel count."""
+        instance, compiled = executable.instance, executable.compiled
         if info.sort_before is not None:
             instance.invoke(info.sort_before)
         if info.source_kind == "indexseek":
-            table = next(
-                catalog.get(s.table_name) for s in _scans_of(plan)
-                if s.binding == info.source_name
-            )
+            table = _table_scanned_as(info.source_name, plan, catalog)[1]
             key, low, high, lstrict, hstrict = info.seek
             begin, total = table.index_on(key).positions(
                 low, high, lstrict, hstrict
@@ -586,66 +630,61 @@ class WasmEngine(QueryEngine):
             total = self._source_rows(instance, compiled, info)
             begin = 0
 
-        if (self.partition is not None and info.source_kind == "scan"
-                and info.source_name == self.partition[0]):
+        if (run.partition is not None and info.source_kind == "scan"
+                and info.source_name == run.partition[0]):
             # this worker's slice of the partitioned scan
-            _, part_begin, part_end = self.partition
+            _, part_begin, part_end = run.partition
             begin = max(begin, min(part_begin, total))
             total = min(total, part_end)
 
-        # input cardinality actually driven (feedback harvesting)
-        self._last_rows_in = max(total - begin, 0)
+        rows_in = max(total - begin, 0)
 
-        window = self._chunked.get(info.source_name) \
-            if info.source_kind == "scan" else None
-        if window is not None:
-            # Figure 5: the pipeline sees [0, chunk_rows) of a fixed
-            # window; the host re-wires the next chunk between runs
-            table = next(
-                catalog.get(s.table_name) for s in _scans_of(plan)
-                if s.binding == info.source_name
-            )
-            scan = next(s for s in _scans_of(plan)
-                        if s.binding == info.source_name)
-            offset = begin
-            morsels = 0
-            while offset < total:
-                chunk_rows = min(window, total - offset)
-                if self.fault_injector is not None:
-                    self.fault_injector.check("rewire.chunk")
-                for name in scan.columns:
-                    values = table.column(name).values
-                    chunk = values[offset:offset + chunk_rows]
-                    instance.memory.space.remap(
-                        f"col:{info.source_name}.{name}",
-                        memoryview(chunk).cast("B"),
-                    )
-                self._rewire_count += 1
-                trace_event(trace, "rewire.chunk",
-                            pipeline=pipeline_index, offset=offset,
-                            rows=chunk_rows)
-                get_registry().counter(
-                    "wasm_rewired_chunks_total",
-                    "Table chunks rewired into the fixed window",
-                ).inc()
-                morsels += self._drive_morsels(
-                    instance, compiled, info, rows, 0, chunk_rows,
-                    governor, pipeline_index, trace
+        # a scan mapped through a window narrower than its table is chunked
+        window = None
+        if info.source_kind == "scan":
+            window = compiled.memory.extent_rows[info.source_name]
+            if window >= compiled.memory.row_counts[info.source_name]:
+                window = None
+        if window is None:
+            return rows_in, self._drive_morsels(
+                executable, info, begin, total, pipeline_index, run, gate)
+
+        # Figure 5: the pipeline sees [0, chunk_rows) of a fixed
+        # window; the host re-wires the next chunk between runs
+        scan, table = _table_scanned_as(info.source_name, plan, catalog)
+        offset = begin
+        morsels = 0
+        while offset < total:
+            chunk_rows = min(window, total - offset)
+            if self.fault_injector is not None:
+                self.fault_injector.check("rewire.chunk")
+            for name in scan.columns:
+                values = table.column(name).values
+                chunk = values[offset:offset + chunk_rows]
+                instance.memory.space.remap(
+                    f"col:{info.source_name}.{name}",
+                    memoryview(chunk).cast("B"),
                 )
-                offset += chunk_rows
-            return morsels
+            run.rewires += 1
+            trace_event(run.trace, "rewire.chunk",
+                        pipeline=pipeline_index, offset=offset,
+                        rows=chunk_rows)
+            get_registry().counter(
+                "wasm_rewired_chunks_total",
+                "Table chunks rewired into the fixed window",
+            ).inc()
+            morsels += self._drive_morsels(
+                executable, info, 0, chunk_rows, pipeline_index, run, gate)
+            offset += chunk_rows
+        return rows_in, morsels
 
-        return self._drive_morsels(instance, compiled, info, rows, begin,
-                                   total, governor, pipeline_index, trace)
-
-    def _drive_morsels(self, instance, compiled, info, rows,
-                       begin: int, total: int,
-                       governor: ResourceGovernor | None = None,
-                       pipeline_index: int | None = None,
-                       trace=None) -> int:
+    def _drive_morsels(self, executable: WasmExecutable, info,
+                       begin: int, total: int, pipeline_index: int,
+                       run: QueryRun, gate) -> int:
         """Invoke the pipeline morsel by morsel; returns the morsel count."""
+        instance, compiled = executable.instance, executable.compiled
+        rows, trace = executable.rows, run.trace
         morsel = 0
-        injector = self.fault_injector
         morsel_counter = get_registry().counter(
             "wasm_morsels_total", "Morsels executed, by tier"
         )
@@ -662,24 +701,15 @@ class WasmEngine(QueryEngine):
                 size = self.morsel_size
             end = min(begin + size, total)
             try:
-                if self.cancel_token is not None:
-                    self.cancel_token.raise_if_cancelled(
-                        phase="execution", pipeline_index=pipeline_index,
-                        morsel=morsel,
-                    )
-                if governor is not None:
-                    governor.check(pipeline_index=pipeline_index,
-                                   morsel=morsel)
-                if injector is not None:
-                    injector.check("trap.morsel")
-                if self.morsel_hook is not None:
-                    # cooperative fair scheduling: wait for this query's
-                    # turn before burning the next morsel
-                    self.morsel_hook()
-                with trace_span(trace, "morsel", pipeline=pipeline_index,
-                                morsel=morsel, begin=begin, end=end,
-                                tier=tier):
+                if gate is not None:
+                    gate(pipeline_index, morsel)
+                if trace is None:
                     instance.invoke(info.function, begin, end)
+                else:
+                    with trace_span(trace, "morsel",
+                                    pipeline=pipeline_index, morsel=morsel,
+                                    begin=begin, end=end, tier=tier):
+                        instance.invoke(info.function, begin, end)
             except Trap as trap:
                 # locate the trap for the caller: which phase, which
                 # pipeline, which morsel (raw traps carry none of that)

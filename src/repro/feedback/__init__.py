@@ -8,7 +8,7 @@ detects misestimates by Q-Error, and asks for one re-plan with observed
 cardinalities (:class:`~repro.plan.cardinality.ObservedCardinalities`).
 """
 
-from repro.feedback.harvest import observation_from_engine
+from repro.feedback.harvest import observation_from_run
 from repro.feedback.store import (
     FeedbackConfig,
     FeedbackDecision,
@@ -24,6 +24,6 @@ __all__ = [
     "FeedbackStore",
     "PipelineObservation",
     "QueryObservation",
-    "observation_from_engine",
+    "observation_from_run",
     "q_error",
 ]

@@ -1,9 +1,9 @@
 """Turning one execution's engine measurements into an observation.
 
 The Wasm engine records per-pipeline ``{rows_in, rows_out, morsels,
-seconds}`` unconditionally (no trace needed) in
-``WasmEngine.last_pipeline_stats``.  This module pairs those with the
-plan's pipeline dissection and decides, pipeline by pipeline, what each
+seconds}`` unconditionally (no trace needed) in the run's
+:class:`~repro.engines.wasm_engine.QueryRun`.  This module pairs those
+with the plan's pipeline dissection and decides, pipeline by pipeline, what each
 measurement is *valid evidence for* — the part that needs care, because
 the engine's counting semantics differ by pipeline shape:
 
@@ -27,19 +27,19 @@ from repro.feedback.store import PipelineObservation, QueryObservation
 from repro.plan import physical as P
 from repro.plan.pipeline import dissect_into_pipelines, estimated_rows_out
 
-__all__ = ["observation_from_engine"]
+__all__ = ["observation_from_run"]
 
 
-def observation_from_engine(engine, plan, fp: str, catalog_version: int,
-                            parameterized: bool = False,
-                            ) -> QueryObservation | None:
-    """Build a :class:`QueryObservation` from the engine's last run.
+def observation_from_run(run, plan, fp: str, catalog_version: int,
+                         parameterized: bool = False,
+                         ) -> QueryObservation | None:
+    """Build a :class:`QueryObservation` from one run's record.
 
-    Returns ``None`` when the engine exposes no per-pipeline stats
-    (non-Wasm engines, folded-to-empty plans, parallel dispatch where
+    Returns ``None`` when the run measured no pipelines (non-Wasm
+    engines, folded-to-empty plans, parallel dispatch where
     measurements live in the workers).
     """
-    stats = getattr(engine, "last_pipeline_stats", None)
+    stats = run.pipeline_stats
     if not stats:
         return None
     try:

@@ -18,8 +18,10 @@ State kept across tasks:
   goes through ``_reset_instance``, the same bit-identical reuse path
   the driver's plan cache exercises.
 
-Results are *storage-level* rows (``raw_rows``); the driver merges
-partitions and finalizes once.  Errors are marshalled by pickling the
+Every task runs through ``Database.run_plan`` — the driver's own run
+path — with the partition in its ``QueryRun``.  Results are
+*storage-level* rows (``raw_rows``); the driver merges partitions and
+finalizes once.  Errors are marshalled by pickling the
 exception when possible (then re-raised driver-side with full type
 fidelity) and degraded to a :class:`~repro.errors.WorkerError` carrying
 class name + message otherwise.
@@ -33,7 +35,6 @@ driver is the sole owner of segment lifetime.
 
 from __future__ import annotations
 
-import copy
 import pickle
 
 __all__ = ["worker_main"]
@@ -59,55 +60,42 @@ def _untrack_shared_memory() -> None:
 class _WorkerState:
     """Everything one worker process keeps between tasks."""
 
-    def __init__(self, worker_id: int):
+    def __init__(self):
         from repro.db.database import Database
 
-        self.worker_id = worker_id
-        self.db = Database()        # engine registry; catalog replaced
-        self.catalog = None
+        self.db = Database()        # engines + the one run path; catalog
+        self.db.catalog = None      # replaced by each attach
         self.version = None
         self.keep: list = []        # attached SharedMemory objects
-        self.cache: dict = {}       # (fp, spec) -> (engine, executable, plan)
+        self.cache: dict = {}       # (fp, spec) -> (executable, plan)
 
     def fence(self, catalog_spec: dict) -> None:
         """Re-attach when the task's catalog is newer than ours."""
-        import gc
-
-        from repro.parallel.shm import attach_catalog, detach_all
+        from repro.parallel.shm import attach_catalog
 
         if self.version == catalog_spec["version"]:
             return
-        # drop every reference into the old mapping (cached executables,
-        # the catalog's column arrays) so the segments close cleanly
-        self.cache.clear()
-        self.catalog = None
-        self.db.catalog = None
-        gc.collect()
-        detach_all(self.keep)
-        self.catalog = attach_catalog(catalog_spec, self.keep)
+        self.detach()
+        self.db.catalog = attach_catalog(catalog_spec, self.keep)
         self.version = catalog_spec["version"]
-        self.db.catalog = self.catalog
 
     def detach(self) -> None:
-        """Drop every reference into shared memory, then unmap it.
-
-        Called on clean shutdown so the segments' ``__del__`` does not
-        trip over still-exported numpy views (a noisy, harmless
-        ``BufferError`` otherwise).
+        """Drop every reference into shared memory (cached executables,
+        the catalog's column arrays), then unmap it, so the segments
+        close cleanly — without this their ``__del__`` trips over
+        still-exported numpy views (a noisy, harmless ``BufferError``).
         """
         import gc
 
         from repro.parallel.shm import detach_all
 
         self.cache.clear()
-        self.catalog = None
-        self.db = None
+        self.db.catalog = None
         gc.collect()
         detach_all(self.keep)
-        self.keep.clear()
 
     def executable_for(self, fp: str, spec: str, plan_bytes: bytes):
-        """A cached (engine, executable, plan) entry, preparing on miss.
+        """A cached (executable, plan) entry, preparing on miss.
 
         The fingerprint is the driver's stable statement key; the
         catalog-version fence (which clears this cache) makes
@@ -120,35 +108,33 @@ class _WorkerState:
             self.cache[key] = hit   # move to MRU position
             return hit, True
         plan = pickle.loads(plan_bytes)
-        engine = copy.copy(self.db.resolve_engine(spec))
-        engine.raw_rows = True
-        executable = engine.prepare_executable(plan, self.catalog)
-        entry = (engine, executable, plan)
+        executable = self.db.resolve_engine(spec).prepare_executable(
+            plan, self.db.catalog)
+        entry = (executable, plan)
         self.cache[key] = entry
         while len(self.cache) > CACHE_LIMIT:
             self.cache.pop(next(iter(self.cache)))
         return entry, False
 
     def run(self, task: dict) -> dict:
-        self.fence(task["catalog_spec"])
-        (engine, executable, cached_plan), warm = self.executable_for(
-            task["fp"], task["spec"], task["plan"]
-        )
-        engine.partition = task.get("partition")
-        try:
-            result = engine.execute_prepared(
-                executable, cached_plan, self.catalog,
-                param_values=task.get("params"),
-            )
-        finally:
-            engine.partition = None
+        from repro.engines.wasm_engine import QueryRun
         from repro.wasm.stencil.cache import get_stencil_cache
 
+        self.fence(task["catalog_spec"])
+        (executable, plan), warm = self.executable_for(
+            task["fp"], task["spec"], task["plan"]
+        )
+        # the driver merges partitions at the storage level and
+        # finalizes once, so this side returns raw rows
+        run = QueryRun(partition=task.get("partition"), raw_rows=True,
+                       param_values=task.get("params"))
+        result = self.db.run_plan(plan, task["spec"], run,
+                                  executable=executable)
         return {
             "kind": "result",
             "ok": True,
             "rows": result.rows,
-            "morsels": engine.last_morsels_total,
+            "morsels": run.morsels_total,
             "warm": warm,
             "timings": dict(result.timings.phases),
             # this worker process's shape-keyed stencil cache: a cold
@@ -174,7 +160,7 @@ def _marshal_error(err: BaseException) -> dict:
 def worker_main(conn, worker_id: int) -> None:
     """The worker process entry point (spawn target)."""
     _untrack_shared_memory()
-    state = _WorkerState(worker_id)
+    state = _WorkerState()
     while True:
         try:
             task = conn.recv()

@@ -88,11 +88,17 @@ class ResourceGovernor:
 
     # -- wall clock --------------------------------------------------------------
 
+    @property
+    def timed(self) -> bool:
+        """Whether a wall-clock budget is armed; :meth:`check` is a
+        no-op otherwise, so per-morsel callers may skip it."""
+        return self._deadline is not None or self.deadline is not None
+
     def check(self, phase: str | None = None,
               pipeline_index: int | None = None,
               morsel: int | None = None) -> None:
         """Raise :class:`ResourceExhausted` if the deadline has passed."""
-        if self._deadline is None and self.deadline is None:
+        if not self.timed:
             return
         trace_event(self.trace, "governor.check",
                     phase=phase if phase is not None else self.phase,

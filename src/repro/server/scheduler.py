@@ -22,7 +22,7 @@ Three mechanisms, all in :class:`MorselScheduler`:
   raises :class:`~repro.errors.ResourceExhausted` with
   ``phase="admission"``.
 * **Round-robin turnstile** — every admitted query holds a
-  :class:`Ticket`; the engine's ``morsel_hook`` calls
+  :class:`Ticket`; the run's ``morsel_hook`` calls
   :meth:`MorselScheduler.gate` before each morsel, which blocks until
   it is that ticket's turn.  A ticket's :class:`CancelToken` wakes a
   parked gate (or a queued admission) immediately, so ``CANCEL``
@@ -51,7 +51,7 @@ __all__ = ["MorselScheduler", "Ticket"]
 class Ticket:
     """One admitted query's claim on the scheduler.
 
-    Created by :meth:`MorselScheduler.admit`; passed (via the engine's
+    Created by :meth:`MorselScheduler.admit`; passed (via the run's
     ``morsel_hook``) to :meth:`~MorselScheduler.gate` at each morsel
     boundary and returned through :meth:`~MorselScheduler.release` when
     the query finishes — success, cancellation, or failure.

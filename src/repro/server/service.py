@@ -28,15 +28,17 @@ Concurrency model
 Queries (SELECT/EXECUTE) hold a shared *read* lock for their whole
 lifetime; DDL and INSERT take the *write* lock, so data never changes
 under a running query's mapped buffers.  After any write the catalog
-version is bumped and stale cache entries are purged.  Engines are
-``copy.copy``'d per execution (they hold knobs plus a little per-run
-state); the single-occupancy :class:`WasmExecutable` of a cache entry
-is serialized by the entry's lock.
+version is bumped and stale cache entries are purged.  Engine objects
+hold knobs only and are shared by all threads: what belongs to one
+execution travels in its :class:`~repro.engines.wasm_engine.QueryRun`.
+The single-occupancy :class:`WasmExecutable` of a cache entry is
+serialized by the entry's lock.  Queries run through
+``Database.run_plan`` and writes through ``Database.apply_write``; this
+module adds admission, the locks, the cache, breakers and feedback.
 """
 
 from __future__ import annotations
 
-import copy
 import threading
 import time
 from contextlib import contextmanager
@@ -45,11 +47,11 @@ from functools import partial
 from itertools import count
 
 from repro.db.database import Database
-from repro.engines.base import Timings
+from repro.engines.wasm_engine import QueryRun
 from repro.feedback import (
     FeedbackConfig,
     FeedbackStore,
-    observation_from_engine,
+    observation_from_run,
 )
 from repro.errors import (
     AnalysisError,
@@ -58,15 +60,10 @@ from repro.errors import (
     ServiceError,
     SessionError,
 )
-from repro.observability.explain import (
-    pipeline_stats_from_trace,
-    render_explain_analyze,
-)
 from repro.observability.metrics import get_registry
 from repro.observability.trace import QueryTrace, trace_event, trace_span
-from repro.plan.exprs import bind_params
-from repro.plan.physical import collect_params, explain_physical
-from repro.plan.pipeline import dissect_into_pipelines
+from repro.plan.physical import collect_params
+from repro.robustness.fallback import parse_engine_spec
 from repro.robustness.resilience import (
     CancelToken,
     Deadline,
@@ -301,9 +298,9 @@ class QueryService:
         """Register one query run: one deadline + one cancel token.
 
         The deadline starts *here*, before admission, so queue wait
-        debits the same budget the governor later enforces.  Yields
-        ``(query_id, token, deadline)``; counts a delivered
-        cancellation on the way out.
+        debits the same budget the governor later enforces.  Yields the
+        registered :class:`_ActiveQuery` (id, token, deadline); counts a
+        delivered cancellation on the way out.
         """
         timeout = self.statement_timeout
         if session is not None and session.statement_timeout is not None:
@@ -324,7 +321,7 @@ class QueryService:
         trace_event(qtrace, "query.registered", query_id=query_id,
                     timeout=deadline.timeout_seconds)
         try:
-            yield query_id, token, deadline
+            yield active
         except QueryCancelled:
             self._cancelled.inc()
             trace_event(qtrace, "query.cancelled", query_id=query_id,
@@ -353,10 +350,12 @@ class QueryService:
         with trace_span(qtrace, "parse"):
             stmt = parse(sql)
 
-        if isinstance(stmt, (ast.CreateTable, ast.CreateIndex, ast.Insert)):
+        if isinstance(stmt, Database.WRITE_STATEMENTS):
             self._queries.inc(kind="write")
             with self._state_lock.write():
-                self.db.execute(sql)
+                with trace_span(qtrace, "analyze"):
+                    analyze(stmt, self.db.catalog)
+                self.db.apply_write(stmt)
                 self.cache.invalidate(self.db.catalog.version)
                 if self.feedback is not None:
                     # superseded versions can never be looked up again
@@ -384,36 +383,22 @@ class QueryService:
         if isinstance(stmt, ast.ShowQueries):
             self._queries.inc(kind="show")
             return self._do_show_queries(qtrace)
-        if isinstance(stmt, ast.Execute):
-            self._queries.inc(kind="execute")
-            with self._registered(sql, session, timeout_seconds,
-                                  qtrace) as (qid, token, deadline):
-                result, _, _ = self._do_execute(
-                    stmt, session, spec, qtrace,
-                    deadline=deadline, token=token, query_id=qid,
-                )
-                result.query_id = qid
-            return result
-        if isinstance(stmt, ast.Explain):
-            self._queries.inc(kind="explain")
-            with self._registered(sql, session, timeout_seconds,
-                                  qtrace) as (qid, token, deadline):
-                result = self._do_explain(
-                    stmt, sql, session, spec, qtrace,
-                    deadline=deadline, token=token, query_id=qid,
-                )
-                result.query_id = qid
-            return result
 
-        # a plain SELECT
-        self._queries.inc(kind="select")
+        # EXECUTE, EXPLAIN and a plain SELECT each run one registered query
+        self._queries.inc(kind=type(stmt).__name__.lower())
         with self._registered(sql, session, timeout_seconds,
-                              qtrace) as (qid, token, deadline):
-            result, _, _ = self._run_select_text(
-                stmt, sql, session, spec, qtrace,
-                deadline=deadline, token=token, query_id=qid,
-            )
-            result.query_id = qid
+                              qtrace) as query:
+            if isinstance(stmt, ast.Execute):
+                result, _, _ = self._do_execute(stmt, session, spec, qtrace,
+                                                query)
+            elif isinstance(stmt, ast.Explain):
+                result = self._do_explain(stmt, sql, session, spec, qtrace,
+                                          query)
+            else:
+                result, _, _ = self._run_select(
+                    stmt, fingerprint_tokens(tokenize(sql)), spec, qtrace,
+                    query, session=session)
+            result.query_id = query.id
         return result
 
     @staticmethod
@@ -483,16 +468,14 @@ class QueryService:
         return None
 
     def _do_execute(self, stmt: ast.Execute, session: Session | None,
-                    spec: str, qtrace, deadline=None, token=None,
-                    query_id=None):
+                    spec: str, qtrace, query: _ActiveQuery):
         session = self._require_session(session, "EXECUTE")
         prepared = session.statement(stmt.name)
         values = self._argument_values(stmt, prepared)
         prepared.executions += 1
         return self._run_select(
-            prepared.select, prepared.fingerprint, spec, qtrace,
+            prepared.select, prepared.fingerprint, spec, qtrace, query,
             param_values=values, session=session,
-            deadline=deadline, token=token, query_id=query_id,
         )
 
     @staticmethod
@@ -521,105 +504,52 @@ class QueryService:
 
     # -- SELECT through the cache ------------------------------------------
 
-    def _run_select_text(self, stmt: ast.Select, sql: str,
-                         session: Session | None, spec: str, qtrace,
-                         deadline=None, token=None, query_id=None):
-        tokens = tokenize(sql)
-        fp = fingerprint_tokens(tokens)
-        return self._run_select(stmt, fp, spec, qtrace, session=session,
-                                analyzed=False, deadline=deadline,
-                                token=token, query_id=query_id)
-
     def _run_select(self, select: ast.Select, fp: str, spec: str, qtrace,
-                    param_values: list | None = None,
-                    session: Session | None = None, analyzed: bool = True,
-                    deadline: Deadline | None = None,
-                    token: CancelToken | None = None,
-                    query_id: int | None = None):
+                    query: _ActiveQuery, param_values: list | None = None,
+                    session: Session | None = None):
         """The one execution path: admission (shedding + one deadline),
-        cache lookup, then run under the scheduler with cancellation
-        checked at every morsel.  Returns ``(result, entry,
-        disposition)``.  With a :class:`RetryPolicy` configured, shed
-        admissions and retryable engine failures are retried under
+        cache lookup, then ``Database.run_plan`` under the scheduler
+        with cancellation checked at every morsel.  Returns ``(result,
+        entry, disposition)``.  With a :class:`RetryPolicy` configured,
+        shed admissions and retryable engine failures are retried under
         seeded backoff, never past the deadline."""
         session_id = session.id if session is not None else None
-        first_attempt = [True]
 
         def attempt():
-            analyzed_now = analyzed or not first_attempt[0]
-            first_attempt[0] = False
             if self.fault_injector is not None:
                 self.fault_injector.check("admission")
             ticket = self.scheduler.admit(
-                session_id, deadline=deadline, cancel_token=token,
-                trace=qtrace,
+                session_id, deadline=query.deadline,
+                cancel_token=query.token, trace=qtrace,
             )
             try:
                 with self._state_lock.read():
                     entry, disposition = self._cached_entry(
-                        fp, select, spec, qtrace, analyzed=analyzed_now
+                        fp, select, spec, qtrace)
+                    # the governor enforces the same deadline admission
+                    # already debited; every morsel — on the pool, every
+                    # task batch — passes the scheduler's fair turnstile
+                    run = QueryRun(
+                        deadline=query.deadline, cancel_token=query.token,
+                        morsel_hook=partial(self.scheduler.gate, ticket),
+                        param_values=param_values, trace=qtrace,
                     )
-                    engine = copy.copy(self.db.resolve_engine(spec))
-                    engine.morsel_hook = lambda: self.scheduler.gate(ticket)
-                    if hasattr(engine, "deadline"):
-                        # the Wasm engine's governor enforces the same
-                        # deadline admission already debited, and its
-                        # morsel loop honors the cancel token directly
-                        engine.deadline = deadline
-                        engine.cancel_token = token
+                    if entry.parallel_decision is not None:
+                        run.dispatcher = partial(
+                            self.scheduler.dispatch, ticket,
+                            self.db.parallel.pool.run_tasks)
                     with entry.lock:
-                        result = None
-                        if entry.parallel_decision is not None:
-                            # through the scheduler: a parallel query
-                            # passes the same fair turnstile (and
-                            # cancellation check) as everyone else
-                            result = self.db._try_parallel(
-                                entry.plan, spec, qtrace, fp=fp,
-                                decision=entry.parallel_decision,
-                                params=param_values, deadline=deadline,
-                                cancel_token=token,
-                                dispatcher=partial(
-                                    self.scheduler.dispatch, ticket,
-                                    self.db.parallel.pool.run_tasks),
-                            )
-                        if result is None and entry.executable is None \
-                                and entry.parallel_decision is not None \
-                                and hasattr(engine, "prepare_executable"):
-                            # the parallel route skipped compilation;
-                            # upgrade lazily now that the entry runs
-                            # in-process (pool degraded or contract
-                            # says local)
-                            entry.executable = engine.prepare_executable(
-                                entry.plan, self.db.catalog, trace=qtrace,
-                                timings=Timings(),
-                            )
-                        ran_in_process = False
-                        if result is not None:
-                            pass
-                        elif entry.executable is not None:
-                            result = engine.execute_prepared(
-                                entry.executable, entry.plan,
-                                self.db.catalog, trace=qtrace,
-                                param_values=param_values,
-                            )
-                            ran_in_process = True
-                        else:
-                            if param_values is not None:
-                                bind_params(collect_params(entry.plan),
-                                            param_values)
-                            result = engine.execute(
-                                entry.plan, self.db.catalog, trace=qtrace
-                            )
+                        result = self.db.run_plan(
+                            entry.plan, spec, run,
+                            executable=entry.executable,
+                            decision=entry.parallel_decision, fp=fp)
+                        if run.prepared is not None:
+                            # the parallel route had skipped compilation
+                            entry.executable = run.prepared
                         self._note_tier_outcome(fp, entry, qtrace)
-                        if self.feedback is not None and ran_in_process:
-                            # on a hit this thread's AST skipped analysis
-                            self._note_feedback(
-                                fp, select, entry, engine, spec, qtrace,
-                                analyzed=(analyzed_now
-                                          or disposition == "miss"),
-                            )
-                    result.engine = spec
-                    result.trace = qtrace
+                        if self.feedback is not None:
+                            self._note_feedback(fp, select, entry, run,
+                                                spec, qtrace)
                     result.plan_cache = disposition
                     result.scheduler_wait_seconds = ticket.max_wait_seconds
                     return result, entry, disposition
@@ -629,13 +559,11 @@ class QueryService:
         if self.retry_policy is None:
             return attempt()
         return self.retry_policy.run(
-            attempt, deadline=deadline,
-            key=f"{query_id if query_id is not None else fp}",
+            attempt, deadline=query.deadline, key=f"{query.id}",
             trace=qtrace,
         )
 
-    def _cached_entry(self, fp: str, select: ast.Select, spec: str, qtrace,
-                      analyzed: bool = True):
+    def _cached_entry(self, fp: str, select: ast.Select, spec: str, qtrace):
         """Look up — or compile and insert — the entry for this query.
 
         Caller holds the state read lock.  Returns ``(entry,
@@ -653,9 +581,6 @@ class QueryService:
             trace_event(qtrace, "plancache.hit", engine=spec)
             return entry, "hit"
         trace_event(qtrace, "plancache.miss", engine=spec)
-        if not analyzed:
-            with trace_span(qtrace, "analyze"):
-                analyze(select, self.db.catalog)
         entry = self._compile_entry(fp, select, spec, qtrace)
         return self.cache.insert(key, entry), "miss"
 
@@ -663,10 +588,14 @@ class QueryService:
                        qtrace) -> CacheEntry:
         """Plan (and for Wasm specs compile) one fresh cache entry.
 
-        ``select`` must already be analyzed.  Consults the feedback
-        store: once it asked for a re-plan, the measured cardinalities
-        seed the optimizer/analysis.  Caller holds the state read lock.
+        Analyzes ``select`` first when this thread's AST never was (a
+        hit skips analysis).  Consults the feedback store: once it
+        asked for a re-plan, the measured cardinalities seed the
+        optimizer/analysis.  Caller holds the state read lock.
         """
+        if not select.analyzed:
+            with trace_span(qtrace, "analyze"):
+                analyze(select, self.db.catalog)
         seeds = None
         if self.feedback is not None:
             seeds = self.feedback.observed_seeds(
@@ -677,30 +606,29 @@ class QueryService:
                             seeds=seeds.describe())
         with trace_span(qtrace, "plan"):
             plan = self.db.plan(select, trace=qtrace, observed=seeds)
-        executable = None
-        engine = copy.copy(self.db.resolve_engine(spec))
         decision = None
         if self.db._parallel_eligible(spec):
             decision = self.db.parallel.decide(plan)
         dispatchable = (decision is not None and decision.mode != "local"
                         and self.db.parallel.healthy)
-        tier_degraded = False
-        if (self.breakers is not None
-                and getattr(engine, "mode", None) in (
-                    "adaptive", "adaptive_stencil", "turbofan")
-                and hasattr(engine, "prepare_executable")):
-            if not self.breakers.allow_tier_up(fp):
-                tier_degraded = True
-                engine.mode = "liftoff"
-                trace_event(qtrace, "breaker.degraded", engine=spec,
-                            state=self.breakers.state(fp))
-        if hasattr(engine, "prepare_executable") and not dispatchable:
+        engine = self.db.resolve_engine(spec)
+        tier_degraded = (self.breakers is not None
+                         and "turbofan" in engine.tier_ladder
+                         and not self.breakers.allow_tier_up(fp))
+        if tier_degraded:
+            # compile on the Liftoff-only variant; the cache key and
+            # result.engine keep the spec the client asked for
+            engine = self.db.resolve_engine(
+                f"{parse_engine_spec(spec)[0]}[liftoff]")
+            trace_event(qtrace, "breaker.degraded", engine=spec,
+                        state=self.breakers.state(fp))
+        executable = None
+        if not dispatchable:
             # a dispatchable plan compiles in the *workers* (keyed by
             # this entry's fingerprint); the driver-side executable is
-            # built lazily only if the pool degrades
+            # built by run_plan only if the pool degrades
             executable = engine.prepare_executable(
-                plan, self.db.catalog, trace=qtrace, timings=Timings()
-            )
+                plan, self.db.catalog, QueryRun(trace=qtrace))
         return CacheEntry(plan=plan, executable=executable,
                           catalog_version=self.db.catalog.version,
                           analysis=getattr(plan, "analysis", None),
@@ -735,20 +663,21 @@ class QueryService:
         entry.breaker_pending = False
 
     def _note_feedback(self, fp: str, select: ast.Select,
-                       entry: CacheEntry, engine, spec: str,
-                       qtrace, analyzed: bool = True) -> None:
-        """Record this execution's measurements in the feedback store.
+                       entry: CacheEntry, run: QueryRun, spec: str,
+                       qtrace) -> None:
+        """Record this execution's measurements in the feedback store
+        (only in-process Wasm runs have any).
 
-        When the store decides the plan is misestimated (Q-Error past
-        the threshold), the entry is *rebuilt in place* under the entry
+        When the store decides the plan is misestimated (Q-Error past the
+        threshold), the entry is *rebuilt in place* under the entry
         lock it already holds: re-planned with the observed cardinality
         seeds and recompiled.  The very next lookup is still a cache
         hit — it just runs the re-optimized executable.  (Threads
         already waiting on the entry lock pick up the new executable
         when they acquire it.)
         """
-        observation = observation_from_engine(
-            engine, entry.plan, fp, entry.catalog_version,
+        observation = observation_from_run(
+            run, entry.plan, fp, entry.catalog_version,
             parameterized=entry.parameterized,
         )
         if observation is None:
@@ -762,81 +691,50 @@ class QueryService:
         trace_event(qtrace, "feedback.reoptimize",
                     q_error=round(decision.q_error, 3),
                     pipeline=decision.pipeline)
-        if not analyzed:
-            with trace_span(qtrace, "analyze"):
-                analyze(select, self.db.catalog)
         fresh = self._compile_entry(fp, select, spec, qtrace)
-        entry.plan = fresh.plan
-        entry.executable = fresh.executable
-        entry.analysis = fresh.analysis
-        entry.parallel_decision = fresh.parallel_decision
-        entry.tier_degraded = fresh.tier_degraded
-        entry.breaker_pending = fresh.breaker_pending
-        entry.bailouts_recorded = 0
-        entry.parameterized = fresh.parameterized
+        for rebuilt in ("plan", "executable", "analysis", "parameterized",
+                        "parallel_decision", "tier_degraded",
+                        "breaker_pending", "bailouts_recorded"):
+            setattr(entry, rebuilt, getattr(fresh, rebuilt))
 
     # -- EXPLAIN -----------------------------------------------------------
 
     def _do_explain(self, stmt: ast.Explain, sql: str,
                     session: Session | None, spec: str, qtrace,
-                    deadline=None, token=None, query_id=None):
+                    query: _ActiveQuery):
         """``EXPLAIN [ANALYZE] <select | execute>`` with the cache
         disposition annotated (``cache: hit|miss``)."""
         inner = stmt.statement
+        prepared = None
         if isinstance(inner, ast.Execute):
             session = self._require_session(session, "EXPLAIN EXECUTE")
             prepared = session.statement(inner.name)
-            if not stmt.analyze:
-                with self._state_lock.read():
-                    entry, _ = self._cached_entry(
-                        prepared.fingerprint, prepared.select, spec, qtrace
-                    )
-                lines = ["EXPLAIN"] + explain_physical(entry.plan).split("\n")
-                return Database._text_result(lines, trace=qtrace)
-            run_trace = qtrace if qtrace is not None else QueryTrace()
-            prepared.executions += 1
-            fp = prepared.fingerprint
-            result, entry, disposition = self._run_select(
-                prepared.select, fp, spec, run_trace,
-                param_values=self._argument_values(inner, prepared),
-                session=session, deadline=deadline, token=token,
-                query_id=query_id,
-            )
-        else:
-            if not stmt.analyze:
-                with self._state_lock.read():
+        if not stmt.analyze:
+            with self._state_lock.read():
+                if prepared is None:
                     with trace_span(qtrace, "analyze"):
                         analyze(inner, self.db.catalog)
-                    with trace_span(qtrace, "plan"):
-                        plan = self.db.plan(inner)
-                lines = ["EXPLAIN"] + explain_physical(plan).split("\n")
-                return Database._text_result(lines, trace=qtrace)
-            run_trace = qtrace if qtrace is not None else QueryTrace()
+                    return self.db.explain_statement(stmt, spec, qtrace)
+                entry, _ = self._cached_entry(
+                    prepared.fingerprint, prepared.select, spec, qtrace)
+            return Database.explain_result(entry.plan, qtrace)
+        run_trace = qtrace if qtrace is not None else QueryTrace()
+        if prepared is not None:
+            fp = prepared.fingerprint
+            result, entry, disposition = self._do_execute(
+                inner, session, spec, run_trace, query)
+        else:
             # fingerprint the SELECT body: tokens after EXPLAIN ANALYZE
             fp = fingerprint_tokens(tokenize(sql)[2:])
             result, entry, disposition = self._run_select(
-                inner, fp, spec, run_trace, session=session, analyzed=False,
-                deadline=deadline, token=token, query_id=query_id,
-            )
-        stats = pipeline_stats_from_trace(
-            run_trace, dissect_into_pipelines(entry.plan)
-        )
+                inner, fp, spec, run_trace, query, session=session)
         feedback_lines = None
         if self.feedback is not None:
             feedback_lines = self.feedback.explain_lines(
-                fp, entry.catalog_version
-            )
-        lines = render_explain_analyze(
-            entry.plan, run_trace, stats, spec,
-            total_rows=len(result.rows), cache=disposition,
+                fp, entry.catalog_version)
+        text = Database.explain_analyze_result(
+            entry.plan, spec, result, cache=disposition,
             feedback_lines=feedback_lines,
         )
-        if getattr(result, "parallel", None) is not None:
-            from repro.parallel.executor import parallel_explain_lines
-
-            lines = lines + parallel_explain_lines(result.parallel)
-        text = Database._text_result(lines, trace=run_trace)
-        text.pipeline_stats = stats
-        text.analyzed = result
         text.plan_cache = disposition
         return text

@@ -255,6 +255,7 @@ def analyze_select(
             order.expr = analyzer.visit(expr)
 
     _check_aggregation(stmt)
+    stmt.analyzed = True
     return scope
 
 

@@ -248,6 +248,10 @@ class Select:
     limit: int | None = None
     offset: int = 0
     distinct: bool = False
+    #: Set by the analyzer once names are resolved and types inferred;
+    #: planning needs it, and a plan-cache hit never pays for it.
+    analyzed: bool = field(default=False, init=False, repr=False,
+                           compare=False)
 
 
 @dataclass

@@ -26,7 +26,7 @@ def run_chunked(db, sql, window):
     db._engines["wasm"] = engine
     result = db.execute(sql, engine="wasm")
     db._engines["wasm"] = WasmEngine()
-    return result, engine._rewire_count
+    return result, result.run.rewires
 
 
 class TestChunkedScans:

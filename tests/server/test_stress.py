@@ -157,3 +157,124 @@ class TestConcurrentStress:
         completed = [o for o in outcomes if o != "refused"]
         assert all(o is True for o in completed)
         assert any(o is True for o in outcomes)  # someone got through
+
+
+@pytest.mark.stress
+class TestNoSharedPerRunState:
+    """Two threads on the one registered, never-copied ``wasm`` engine.
+
+    Everything a run is given and everything it measures travels in its
+    own ``QueryRun``, so concurrent runs of *different* statements must
+    each report exactly their single-threaded per-pipeline record, feed
+    the feedback store under their own fingerprint, and a ``CANCEL``
+    aimed at one must never abort the other.
+    """
+
+    ITERATIONS = 30
+    #: name -> (PREPARE body, EXECUTE argument); different pipeline counts
+    STATEMENTS = {
+        "scan": ("SELECT id FROM t WHERE x < $1", 40),
+        "groups": ("SELECT grp, COUNT(*), SUM(x) FROM t WHERE x >= $1 "
+                   "GROUP BY grp", 25),
+    }
+
+    @staticmethod
+    def measured(result) -> list:
+        return [(p["function"], p["rows_in"], p["rows_out"])
+                for p in result.run.pipeline_stats]
+
+    def test_runs_keep_their_own_records(self):
+        import sys
+
+        from repro.errors import QueryCancelled, ServiceError
+
+        service = QueryService(default_engine="wasm", max_concurrent=4)
+        service.execute("CREATE TABLE t (id INT PRIMARY KEY, grp INT, x INT)")
+        rng = random.Random(SEED)
+        service.execute("INSERT INTO t VALUES " + ", ".join(
+            f"({i}, {i % 5}, {rng.randrange(100)})" for i in range(2000)))
+        engine = service.db.engine("wasm")
+        assert service.db.resolve_engine("wasm") is engine  # no variant copy
+        engine.morsel_size = 64  # many morsel boundaries to interleave at
+
+        sessions = {name: service.create_session()
+                    for name in self.STATEMENTS}
+        operator = service.create_session()
+        expected, fingerprints = {}, {}
+        for name, (body, arg) in self.STATEMENTS.items():
+            service.execute(f"PREPARE {name} AS {body}",
+                            session=sessions[name])
+            fingerprints[name] = sessions[name].statement(name).fingerprint
+            for _ in range(3):  # past any feedback re-plan
+                result = service.execute(f"EXECUTE {name}({arg})",
+                                         session=sessions[name])
+            expected[name] = (sorted(canonical(result)),
+                              self.measured(result))
+        assert len(expected["scan"][1]) != len(expected["groups"][1])
+
+        observations = []
+        record = service.feedback.record
+        service.feedback.record = lambda observation: (
+            observations.append(observation), record(observation))[1]
+
+        # the "groups" thread, at its own morsel boundaries, CANCELs
+        # every third query the "scan" session has in flight
+        victim = sessions["scan"].id
+        gate = service.scheduler.gate
+
+        def cancelling_gate(ticket):
+            if ticket.session_id != victim:
+                for active in service.active_queries():
+                    if active.session_id == victim and active.id % 3 == 0:
+                        try:
+                            service.execute(f"CANCEL {active.id}",
+                                            session=operator)
+                        except ServiceError:
+                            pass  # finished in the meantime
+            gate(ticket)
+
+        service.scheduler.gate = cancelling_gate
+        errors, cancelled = [], []
+
+        def client(name: str) -> None:
+            _, arg = self.STATEMENTS[name]
+            for _ in range(self.ITERATIONS):
+                try:
+                    result = service.execute(f"EXECUTE {name}({arg})",
+                                             session=sessions[name])
+                except QueryCancelled as err:
+                    cancelled.append((name, err.query_id))
+                    continue
+                except Exception as err:  # noqa: BLE001 - for the assert
+                    errors.append((name, repr(err)))
+                    continue
+                got = (sorted(canonical(result)), self.measured(result))
+                if got != expected[name]:
+                    errors.append((name, got[1]))
+
+        threads = [threading.Thread(target=client, args=(name,))
+                   for name in self.STATEMENTS]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=90)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads), "stress run hung"
+
+        assert not errors, errors[:5]
+        # only the targeted session's queries were ever cancelled
+        assert cancelled and {name for name, _ in cancelled} == {"scan"}
+        assert all(query_id % 3 == 0 for _, query_id in cancelled)
+        # every completed run was recorded under its own fingerprint
+        # with its own pipelines' measurements
+        by_fp = {fingerprints[name]: [rows_out for _, _, rows_out
+                                      in expected[name][1]]
+                 for name in self.STATEMENTS}
+        assert len(observations) == 2 * self.ITERATIONS - len(cancelled)
+        for observation in observations:
+            assert [p.rows_out for p in observation.pipelines] \
+                == by_fp[observation.fingerprint]

@@ -15,7 +15,7 @@ import pytest
 
 import repro.wasm.runtime.engine as engine_module
 from repro.db import Database
-from repro.engines.wasm_engine import WasmEngine
+from repro.engines.wasm_engine import QueryRun, WasmEngine
 from repro.observability import FakeClock, QueryTrace
 from repro.robustness import FaultInjector
 from repro.server import QueryService
@@ -362,7 +362,7 @@ class TestCachedExecutables:
         for _ in range(4):
             traces.append(QueryTrace(clock=FakeClock()))
             result = engine.execute_prepared(executable, plan, db.catalog,
-                                             trace=traces[-1])
+                                             QueryRun(trace=traces[-1]))
             rows.append(result.rows)
             tiers.append(executable.instance.funcs[index].tier)
         # runs 1-3 put 0.4, 0.8, 1.2 estimates on the meter; run 4
