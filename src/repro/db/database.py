@@ -249,15 +249,20 @@ class Database:
         returns a shallow copy of it with ``mode`` overridden (shared
         knobs — fault injector, budgets — are preserved, which is what
         the chaos suite relies on: a fallback attempt faces the same
-        faults as the primary).
+        faults as the primary).  A mode the engine does not have is
+        rejected here, before any work is done for the statement.
         """
         name, option = parse_engine_spec(spec)
         if option is None:
             return self.engine(name)
         base = self.engine(name)
-        if not hasattr(base, "mode"):
+        if not base.modes:
             raise ConfigError(
                 f"engine {name!r} has no execution modes ({spec!r})"
+            )
+        if option not in base.modes:
+            raise ConfigError(
+                f"unknown engine mode {option!r}; have {base.modes}"
             )
         derived = copy.copy(base)  # cheap: engines hold knobs, not state
         derived.mode = option

@@ -148,6 +148,8 @@ class QueryEngine:
 
     name = "abstract"
 
+    #: The execution modes an engine spec ``name[mode]`` may select.
+    modes: tuple[str, ...] = ()
     #: The code tiers this engine's functions climb, lowest first; empty
     #: for engines without a ladder (nothing to guard with a breaker).
     tier_ladder: tuple[str, ...] = ()

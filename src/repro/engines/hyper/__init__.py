@@ -258,6 +258,7 @@ class HyperEngine(QueryEngine):
     """
 
     name = "hyper"
+    modes = ("adaptive", "umbra", "interp", "o0", "o2")
 
     def __init__(self, mode: str = "adaptive", morsel_size: int = _MORSEL):
         self.mode = mode

@@ -44,7 +44,12 @@ from repro.plan.pipeline import dissect_into_pipelines
 from repro.robustness.governor import ResourceGovernor
 from repro.storage.rewiring import WASM_PAGE_SIZE, AddressSpace
 from repro.wasm.runtime import Engine, EngineConfig, LinearMemory
-from repro.wasm.runtime.engine import TIER_LADDERS
+from repro.wasm.runtime.engine import (
+    COMPILED_TIERS,
+    ENGINE_MODES,
+    SEED_COMPILE_RATES,
+    TIER_LADDERS,
+)
 
 __all__ = ["QueryRun", "WasmEngine", "WasmExecutable"]
 
@@ -158,11 +163,6 @@ class WasmEngine(QueryEngine):
             architecture), ``"adaptive_stencil"``, ``"liftoff"``,
             ``"turbofan"`` (the enforced-optimization setting of
             Section 8.2), ``"stencil"`` or ``"interpreter"``.
-        tier_up_threshold: ``None`` (default) promotes a function once
-            the wall time it has run covers the estimated compile time
-            of a higher tier — measured across re-runs of a cached
-            executable; an int promotes one tier per that many calls
-            instead (deterministic, for tests and ablations).
         short_circuit: compile conjunctions with short-circuit branches
             (mutable's default is off; used by the ablation benchmark).
         morsel_size: rows per pipeline invocation.
@@ -180,9 +180,9 @@ class WasmEngine(QueryEngine):
     """
 
     name = "wasm"
+    modes = ENGINE_MODES
 
     def __init__(self, mode: str = "adaptive",
-                 tier_up_threshold: int | None = None,
                  short_circuit: bool = False, morsel_size: int = MORSEL_SIZE,
                  inline_adhoc: bool = True, predication: bool = False,
                  table_window_rows: int | None = None,
@@ -191,7 +191,6 @@ class WasmEngine(QueryEngine):
                  lint: str = "off", elide_bounds_checks: bool = True,
                  fault_injector=None):
         self.mode = mode
-        self.tier_up_threshold = tier_up_threshold
         self.short_circuit = short_circuit
         self.morsel_size = morsel_size
         self.inline_adhoc = inline_adhoc
@@ -214,7 +213,7 @@ class WasmEngine(QueryEngine):
 
     @property
     def tier_ladder(self) -> tuple[str, ...]:
-        return TIER_LADDERS.get(self.mode, ())  # bad modes fail at compile
+        return TIER_LADDERS[self.mode]
 
     # -- compilation -----------------------------------------------------------
 
@@ -340,8 +339,6 @@ class WasmEngine(QueryEngine):
             return self.execute_folded(plan, profile, trace)
         run = QueryRun(profile=profile, trace=trace)
         run.governor = self._governor(run)
-        if self.fault_injector is not None:
-            self.fault_injector.trace = trace
         executable = self.prepare_executable(plan, catalog, run)
         result = self.execute_prepared(executable, plan, catalog, run)
         self.last_pipeline_stats = run.pipeline_stats
@@ -381,10 +378,9 @@ class WasmEngine(QueryEngine):
         if run.cancel_token is not None:
             run.cancel_token.raise_if_cancelled(phase="translation")
         engine = Engine(EngineConfig(
-            mode=self.mode, tier_up_threshold=self.tier_up_threshold,
-            lint=self.lint, elide_bounds_checks=self.elide_bounds_checks,
+            mode=self.mode, lint=self.lint,
+            elide_bounds_checks=self.elide_bounds_checks,
             fault_injector=self.fault_injector,
-            trace=trace,
         ))
         memory = LinearMemory(space)
         memory.fault_injector = self.fault_injector
@@ -407,13 +403,12 @@ class WasmEngine(QueryEngine):
         }
         instance = engine.instantiate(
             compiled.module, imports=imports, memory=memory,
-            profile=run.profile,
+            profile=run.profile, trace=trace,
         )
         executable.instance = instance
         # instantiation time counts as compilation (stencil/Liftoff/TurboFan)
-        timings.add("compile_stencil", instance.stats.stencil_seconds)
-        timings.add("compile_liftoff", instance.stats.liftoff_seconds)
-        timings.add("compile_turbofan", instance.stats.turbofan_seconds)
+        for tier in COMPILED_TIERS:
+            timings.add(f"compile_{tier}", instance.stats.seconds[tier])
         if governor is not None:
             governor.check()
         if run.cancel_token is not None:
@@ -434,12 +429,13 @@ class WasmEngine(QueryEngine):
         if run.governor is None:
             run.governor = self._governor(run)
         governor = run.governor
-        # re-attach: page growth during this run charges this run's budget,
-        # and tier-ups bought during it are recorded in this run's trace
-        executable.space.governor = governor
-        executable.engine.config.trace = trace
-        governor.phase = "execution"
         instance = executable.instance
+        # re-attach: page growth during this run charges this run's budget,
+        # and tier-ups bought (or faults injected) during it are recorded
+        # in this run's trace
+        executable.space.governor = governor
+        instance.trace = executable.memory.trace = trace
+        governor.phase = "execution"
         compiled = executable.compiled
         if executable.executions > 0:
             self._reset_instance(executable)
@@ -452,8 +448,7 @@ class WasmEngine(QueryEngine):
         run.pipelines = compiled.pipelines
         gate = self._morsel_gate(run)
 
-        compile_before = (stats.stencil_seconds, stats.liftoff_seconds,
-                          stats.turbofan_seconds)
+        compile_before = dict(stats.seconds)
         with Stopwatch(timings, "execution"), \
                 trace_span(trace, "execution", engine=self.name):
             instance.invoke("init")
@@ -493,33 +488,29 @@ class WasmEngine(QueryEngine):
         # attributed to the tier that did the compiling: a stencil->Liftoff
         # promotion spends Liftoff seconds, a Liftoff->TurboFan one
         # TurboFan seconds
-        for phase, before, after in (
-            ("compile_stencil", compile_before[0], stats.stencil_seconds),
-            ("compile_liftoff", compile_before[1], stats.liftoff_seconds),
-            ("compile_turbofan", compile_before[2], stats.turbofan_seconds),
-        ):
-            delta = after - before
+        for tier in COMPILED_TIERS:
+            delta = stats.seconds[tier] - compile_before[tier]
             if delta > 0:
                 timings.phases["execution"] -= delta
-                timings.add(phase, delta)
+                timings.add(f"compile_{tier}", delta)
 
-        tier_attrs = dict(
-            liftoff_functions=stats.liftoff_functions,
-            turbofan_functions=stats.turbofan_functions,
-            tier_ups=stats.tier_ups,
-            tier_up_failures=stats.tier_up_failures,
-            bounds_checks_elided=stats.bounds_checks_elided,
-        )
-        if stats.stencil_functions or stats.stencil_fallbacks:
-            # only when tier-0 was involved, keeping non-stencil traces
-            # byte-identical to the pre-stencil engine
+        # the tiers functions are promoted to always report; tier-0 only
+        # when it was involved, keeping non-stencil traces byte-identical
+        # to the pre-stencil engine
+        tier_attrs = {
+            f"{tier}_functions": stats.functions[tier]
+            for tier in COMPILED_TIERS
+            if tier in SEED_COMPILE_RATES or stats.functions[tier]
+        }
+        if "stencil_functions" in tier_attrs:
             tier_attrs.update(
-                stencil_functions=stats.stencil_functions,
                 stencil_cache_hits=stats.stencil_cache_hits,
                 stencil_cache_misses=stats.stencil_cache_misses,
-                stencil_fallbacks=stats.stencil_fallbacks,
             )
-        trace_event(trace, "tier_stats", **tier_attrs)
+        trace_event(trace, "tier_stats", tier_ups=stats.tier_ups,
+                    tier_up_failures=stats.tier_up_failures,
+                    bounds_checks_elided=stats.bounds_checks_elided,
+                    **tier_attrs)
         if run.raw_rows:
             result = ExecutionResult(
                 column_names=[c.name for c in plan.output],
@@ -548,7 +539,8 @@ class WasmEngine(QueryEngine):
                 phase="execution", pipeline_index=p, morsel=m)),
             (governor.timed, lambda p, m: governor.check(
                 pipeline_index=p, morsel=m)),
-            (injector is not None, lambda p, m: injector.check("trap.morsel")),
+            (injector is not None,
+             lambda p, m: injector.check("trap.morsel", run.trace)),
             (hook is not None, lambda p, m: hook()),
         ) if armed]
         if not checks:
@@ -657,7 +649,7 @@ class WasmEngine(QueryEngine):
         while offset < total:
             chunk_rows = min(window, total - offset)
             if self.fault_injector is not None:
-                self.fault_injector.check("rewire.chunk")
+                self.fault_injector.check("rewire.chunk", run.trace)
             for name in scan.columns:
                 values = table.column(name).values
                 chunk = values[offset:offset + chunk_rows]

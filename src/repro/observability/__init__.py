@@ -22,9 +22,10 @@ Trace event taxonomy (the kinds producers emit):
 ``translation``             plan -> Wasm translation span, containing one
 ``codegen.pipeline``        span per generated pipeline function
 ``validate``/``lint``       module checks inside the engine
-``compile.liftoff``/        per-tier compilation spans (``functions`` attr);
-``compile.turbofan``/       the interpreter "tier" is an instant event
-``compile.interpreter``
+``compile.<tier>``          per-tier compilation spans (``functions`` attr at
+                            instantiation, ``function`` at a promotion); the
+                            kinds are the ``span`` column of the runtime's
+                            tier table (``compile.interpreter`` binds only)
 ``engine.attempt``          one execution attempt starts (``engine`` attr)
 ``engine.attempt_failed``   ... and failed; the fallback chain advances
 ``execution``               the morsel-driving span
@@ -32,8 +33,9 @@ Trace event taxonomy (the kinds producers emit):
 ``morsel``                  one morsel invocation (``pipeline``, ``morsel``,
                             ``begin``, ``end``, ``tier`` that ran it)
 ``tier_up``                 adaptive recompilation patched in optimized code
-``tier_up.failure``         TurboFan bailed out; function pinned to Liftoff
-``turbofan.bailout``        enforced-TurboFan compile fell back to Liftoff
+``tier_up.failure``         a tier's compile failed (at instantiation or at a
+                            promotion); the function is pinned to the rung
+                            the tier table says it lands on
 ``rewire.chunk``            the host re-wired the next chunk of a windowed
                             table (Figure 5)
 ``governor.check``          a budget check ran (only when budgets are set)

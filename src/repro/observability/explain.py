@@ -20,6 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.wasm.runtime.engine import COMPILED_TIERS, TIERS
+
 __all__ = [
     "PipelineStats",
     "pipeline_stats_from_trace",
@@ -30,14 +32,14 @@ __all__ = [
 _PHASE_KINDS = (
     "parse", "analyze", "plan", "plan.analysis", "plan.lint",
     "translation", "validate", "lint",
-    "compile.stencil", "compile.liftoff", "compile.turbofan", "execution",
+    *(TIERS[tier].span for tier in COMPILED_TIERS), "execution",
 )
 
 #: Execution tiers in ladder order; the ``tiers:`` line is data-driven
 #: over whichever ``<tier>_functions`` attributes the trace's
 #: ``tier_stats`` event actually carries, so a new tier shows up by
-#: being listed here rather than by editing the renderer.
-_TIER_ORDER = ("stencil", "liftoff", "turbofan")
+#: being a row of the runtime's tier table, not by editing the renderer.
+_TIER_ORDER = COMPILED_TIERS
 
 
 @dataclass
@@ -114,8 +116,7 @@ def _ms(seconds: float) -> str:
 def _tier_up_lines(trace) -> list[str]:
     """One line per tier-up decision of this execution, in event order:
     which function moved between which rungs and what its meter read —
-    time spent against the estimated compile time, or calls against the
-    threshold when the engine counts calls."""
+    time spent against the estimated compile time."""
     lines = []
     for event in trace.events:
         if event.kind not in ("tier_up", "tier_up.failure"):
@@ -123,13 +124,9 @@ def _tier_up_lines(trace) -> list[str]:
         attrs = event.attrs
         label = "tier-up" if event.kind == "tier_up" else "tier-up failed"
         function = attrs.get("name") or f"function {attrs.get('function')}"
-        if "spent_ms" in attrs:
-            meter = (f"spent={attrs['spent_ms']:.3f}ms "
-                     f"est-compile={attrs['estimated_compile_ms']:.3f}ms")
-        else:
-            meter = f"calls={attrs['calls']} threshold={attrs['threshold']}"
         lines.append(f"  {label}: {function} {attrs['from_tier']}"
-                     f"->{attrs['to_tier']} {meter}")
+                     f"->{attrs['to_tier']} spent={attrs['spent_ms']:.3f}ms "
+                     f"est-compile={attrs['estimated_compile_ms']:.3f}ms")
     return lines
 
 

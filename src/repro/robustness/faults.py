@@ -168,10 +168,6 @@ class FaultInjector:
         self.max_fires = max_fires
         self.trials: dict[str, int] = {}
         self.fired: dict[str, int] = {}
-        #: Optional :class:`~repro.observability.QueryTrace`; every
-        #: injected fault is recorded as a ``fault.injected`` event so
-        #: chaos runs are auditable post-hoc.
-        self.trace = None
         self._rngs = {
             site: random.Random(f"{seed}:{site}") for site in rates
         }
@@ -185,8 +181,14 @@ class FaultInjector:
 
     # -- the site API ------------------------------------------------------------
 
-    def check(self, site: str) -> None:
+    def check(self, site: str, trace=None) -> None:
         """Called by instrumented code; raises the site's fault or returns.
+
+        ``trace`` is the visiting query's
+        :class:`~repro.observability.QueryTrace`, if it has one: a fault
+        that fires is recorded there as a ``fault.injected`` event, so
+        chaos runs are auditable post-hoc — and, the injector being
+        shared by every query of an engine, in no other query's trace.
 
         Unlisted sites return immediately, so threading an injector
         through the engine costs one dict lookup per site visit.
@@ -201,7 +203,7 @@ class FaultInjector:
         if rate < 1.0 and self._rngs[site].random() >= rate:
             return
         self.fired[site] = self.fired.get(site, 0) + 1
-        trace_event(self.trace, "fault.injected", site=site,
+        trace_event(trace, "fault.injected", site=site,
                     trial=self.trials[site], fired=self.fired[site])
         get_registry().counter(
             "faults_injected_total", "Faults injected, by site"

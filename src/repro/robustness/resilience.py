@@ -40,7 +40,6 @@ from repro.observability.metrics import get_registry
 from repro.observability.trace import trace_event
 
 __all__ = [
-    "BreakerOpen",
     "CancelToken",
     "CircuitBreaker",
     "Deadline",
@@ -256,11 +255,6 @@ class RetryPolicy:
                 if pause > 0:
                     self._sleep(pause)
         raise AssertionError("unreachable")  # pragma: no cover
-
-
-class BreakerOpen(Exception):
-    """Internal sentinel — never raised to callers; breakers *degrade*
-    rather than refuse (the query still runs, on the cheap tier)."""
 
 
 class CircuitBreaker:

@@ -77,6 +77,7 @@ from repro.sql import ast
 from repro.sql.analyzer import analyze
 from repro.sql.lexer import tokenize
 from repro.sql.parser import parse
+from repro.wasm.runtime.engine import pinned_mode
 
 __all__ = ["QueryService"]
 
@@ -517,7 +518,7 @@ class QueryService:
 
         def attempt():
             if self.fault_injector is not None:
-                self.fault_injector.check("admission")
+                self.fault_injector.check("admission", qtrace)
             ticket = self.scheduler.admit(
                 session_id, deadline=query.deadline,
                 cancel_token=query.token, trace=qtrace,
@@ -574,7 +575,7 @@ class QueryService:
         instead of paying the bailout again.
         """
         if self.fault_injector is not None:
-            self.fault_injector.check("cache.lookup")
+            self.fault_injector.check("cache.lookup", qtrace)
         key = (fp, spec, self.db.catalog.version)
         entry = self.cache.lookup(key)
         if entry is not None:
@@ -612,14 +613,15 @@ class QueryService:
         dispatchable = (decision is not None and decision.mode != "local"
                         and self.db.parallel.healthy)
         engine = self.db.resolve_engine(spec)
-        tier_degraded = (self.breakers is not None
-                         and "turbofan" in engine.tier_ladder
+        pin = pinned_mode(engine.tier_ladder)
+        tier_degraded = (self.breakers is not None and pin is not None
                          and not self.breakers.allow_tier_up(fp))
         if tier_degraded:
-            # compile on the Liftoff-only variant; the cache key and
-            # result.engine keep the spec the client asked for
+            # compile on the variant that runs only the rung failed
+            # compiles land on; the cache key and result.engine keep
+            # the spec the client asked for
             engine = self.db.resolve_engine(
-                f"{parse_engine_spec(spec)[0]}[liftoff]")
+                f"{parse_engine_spec(spec)[0]}[{pin}]")
             trace_event(qtrace, "breaker.degraded", engine=spec,
                         state=self.breakers.state(fp))
         executable = None

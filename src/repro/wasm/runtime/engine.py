@@ -1,6 +1,11 @@
 """Instantiation and adaptive execution — the V8 role.
 
-The :class:`Engine` owns the tiering policy:
+The :class:`Engine` owns the tiering policy, and the policy is data.
+:data:`TIERS` has one row per rung — its name, how a function is
+compiled for it, the compile rate its cost estimate starts from, the
+fault site in front of its compiler, and the rung a function lands on
+when that compile fails.  :data:`TIER_LADDERS` names, per mode, the
+rungs a function climbs:
 
 * ``mode="liftoff"`` — everything runs as Liftoff-compiled code,
 * ``mode="turbofan"`` — everything is optimized up front (the paper's
@@ -15,19 +20,21 @@ The :class:`Engine` owns the tiering policy:
 * ``mode="stencil"`` / ``mode="interpreter"`` — tier-0 code only / the
   reference interpreter (for testing).
 
+Every function is compiled by one routine
+(:meth:`Engine._compile_and_land`), for the first rung of its ladder at
+instantiation and for a higher one when promoted, so a compile that
+fails is handled by one rule at both moments.
+
 "Hot" is a **cost decision** (the paper's Section 2.2: a tier must pay
 for itself *during* the query).  Every function below the top rung
-carries one meter.  By default (``tier_up_threshold=None``) it adds up
-the wall time the function has run and promotes when that total covers
-the *estimated* compile time of a rung — the function's instruction
-count times :data:`compile_rates`' measured seconds per instruction —
-going straight to the highest rung already paid for.  Compiling never
-costs more than running already has (the ski-rental rule), so a helper
-of a 256-row statement stays on the code it started on, while a scan
-whose first morsel took 30 ms skips Liftoff and lands on TurboFan.  An
-integer ``tier_up_threshold`` makes the same meter count calls instead:
-one rung per ``threshold`` calls — deterministic, for tests and
-ablations.
+carries one meter.  It adds up the wall time the function has run and
+promotes when that total covers the *estimated* compile time of a rung
+— the function's instruction count times :data:`compile_rates`'
+measured seconds per instruction — going straight to the highest rung
+already paid for.  Compiling never costs more than running already has
+(the ski-rental rule), so a helper of a 256-row statement stays on the
+code it started on, while a scan whose first morsel took 30 ms skips
+Liftoff and lands on TurboFan.
 
 Compile times per tier are recorded in :class:`TierStats`; the paper's
 Figure 10 stacks exactly these phases.  In real V8 the TurboFan compile
@@ -41,7 +48,7 @@ from __future__ import annotations
 import threading
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.errors import (
     CompilationError,
@@ -60,9 +67,10 @@ from repro.wasm.runtime.turbofan import TurboFanCompiler
 from repro.wasm.stencil.cache import get_stencil_cache
 from repro.wasm.validator import validate_module
 
-__all__ = ["ENGINE_MODES", "SEED_COMPILE_RATES", "TIER_LADDERS",
-           "CompileRates", "Engine", "EngineConfig", "Instance", "TierStats",
-           "compile_rates"]
+__all__ = ["COMPILED_TIERS", "ENGINE_MODES", "SEED_COMPILE_RATES",
+           "TIERS", "TIER_LADDERS", "CompileRates", "Engine",
+           "EngineConfig", "Instance", "Tier", "TierStats",
+           "compile_rates", "pinned_mode"]
 
 _GLOBAL_DEFAULTS = {"i32": 0, "i64": 0, "f32": 0.0, "f64": 0.0}
 
@@ -70,18 +78,137 @@ _GLOBAL_DEFAULTS = {"i32": 0, "i64": 0, "f32": 0.0, "f64": 0.0}
 #: this module.  Tests replace this one name with a fake clock.
 _clock = time.perf_counter
 
-#: Compile seconds per Wasm instruction each rate starts from, measured
-#: over the TPC-H modules (``benchmarks/bench_compile_times.py`` prints
-#: today's figures; CI fails when the TurboFan : Liftoff ratio drifts).
-SEED_COMPILE_RATES = {"liftoff": 18e-6, "turbofan": 50e-6}
+
+# -- the tier table ----------------------------------------------------------
+
+@dataclass(frozen=True)
+class Tier:
+    """One rung: everything the runtime knows about a tier."""
+
+    #: The label ``Instance.tier_of`` and ``wasm_morsels_total{tier}``
+    #: report for code of this tier.
+    name: str
+    #: The kind of the trace span around this tier's compiles.
+    span: str
+    #: ``build(config, instance)`` runs once per (instance, tier) and
+    #: returns ``compile(func, func_index) -> bound callable``.  The
+    #: module-granular entries (stencil assembly, the interpreter
+    #: binding) do their work in ``build``, compilers in ``compile``.
+    build: object
+    #: The fault site consulted before each compile; ``None`` for a
+    #: tier that generates no code and so cannot fail to.
+    fault_site: str | None = None
+    #: Compile seconds per Wasm instruction the cost meter starts from,
+    #: measured over the TPC-H modules (``benchmarks/
+    #: bench_compile_times.py`` prints today's figures; CI fails when
+    #: the TurboFan : Liftoff ratio drifts).  ``None``: functions are
+    #: never promoted *to* this tier, so nothing is estimated.
+    seed_rate: float | None = None
+    #: The rung a function lands on when this tier's compile raises
+    #: :class:`~repro.errors.CompilationError` (V8's bailout); ``None``:
+    #: there is nothing lower, the error is the caller's.
+    lands_on: str | None = None
+
+
+def _bind_interpreter(config, instance):
+    interpret = Interpreter(instance).make_callable
+    return lambda func, func_index: interpret(func)
+
+
+def _assemble_stencils(config, instance):
+    """Tier-0 code for the whole module, served from the process-wide
+    shape-keyed cache (:mod:`repro.wasm.stencil.cache`), so a
+    structurally familiar module skips even the (cheap) assembly pass.
+
+    Instrumented (profiling) runs assemble stencils too: the bound
+    dispatch loop counts its executed stencils into the profile (see
+    :meth:`~repro.wasm.stencil.assemble.StencilFunction.bind`), so the
+    cost model sees tier-0 work.
+    """
+    artifacts, hit = get_stencil_cache().get(instance.module)
+    if hit:
+        instance.stats.stencil_cache_hits += 1
+    else:
+        instance.stats.stencil_cache_misses += 1
+    n_imports = len(instance.module.imports)
+    return lambda func, func_index: artifacts[func_index - n_imports].bind(
+        instance, instance.profile)
+
+
+def _liftoff(config, instance):
+    compiler = LiftoffCompiler(instance.module)
+    return lambda func, func_index: compiler.compile(
+        func, func_index, instance.profile is not None
+    ).bind(instance, instance.profile)
+
+
+def _turbofan(config, instance):
+    compiler = TurboFanCompiler(
+        instance.module, elide_bounds_checks=config.elide_bounds_checks)
+
+    def compile_one(func, func_index):
+        compiled = compiler.compile(func, func_index,
+                                    instance.profile is not None)
+        instance.stats.bounds_checks_elided += compiled.bounds_checks_elided
+        return compiled.bind(instance, instance.profile)
+    return compile_one
+
+
+#: The rungs, lowest first.  A new tier is a row here (and an entry in
+#: the ladders below); nothing else in the package names the tiers.
+TIERS = {tier.name: tier for tier in (
+    Tier("interp", "compile.interpreter", _bind_interpreter),
+    # tier-0 is an optimization, never a failure mode: a module it
+    # declines runs Liftoff code
+    Tier("stencil", "compile.stencil", _assemble_stencils,
+         fault_site="stencil.assemble", lands_on="liftoff"),
+    # the baseline: when it fails there is no code to run, and the host's
+    # fallback chain (wasm[interpreter], volcano) takes the query
+    Tier("liftoff", "compile.liftoff", _liftoff,
+         fault_site="liftoff.compile", seed_rate=18e-6),
+    Tier("turbofan", "compile.turbofan", _turbofan,
+         fault_site="turbofan.compile", seed_rate=50e-6,
+         lands_on="liftoff"),
+)}
+
+#: The tiers that generate code, in ladder order: the ones with compile
+#: time to report (``compile_<tier>`` phases, ``compile.<tier>`` spans).
+COMPILED_TIERS = tuple(name for name, tier in TIERS.items()
+                       if tier.fault_site is not None)
+
+#: Compile seconds per Wasm instruction each rate starts from.
+SEED_COMPILE_RATES = {name: tier.seed_rate for name, tier in TIERS.items()
+                      if tier.seed_rate is not None}
+
+#: The rungs of each mode, in decreasing order of sophistication:
+#: functions start on the first tier and climb as their meter pays for
+#: higher rungs; single-rung modes pin every function to their tier.
+TIER_LADDERS = {
+    "adaptive_stencil": ("stencil", "liftoff", "turbofan"),
+    "adaptive": ("liftoff", "turbofan"),
+    "turbofan": ("turbofan",),
+    "liftoff": ("liftoff",),
+    "stencil": ("stencil",),
+    "interpreter": ("interp",),
+}
+
+#: The valid tiering modes.
+ENGINE_MODES = tuple(TIER_LADDERS)
+
+
+def pinned_mode(ladder: tuple[str, ...]) -> str | None:
+    """The mode a circuit breaker pins a ladder to while compiles of its
+    top rung keep failing: the one that runs only the rung those
+    failures land on.  ``None`` when the top rung has no landing rung
+    (or the ladder is empty) — there is nothing to guard."""
+    landing = TIERS[ladder[-1]].lands_on if ladder else None
+    return next((mode for mode, rungs in TIER_LADDERS.items()
+                 if rungs == (landing,)), None)
+
 
 #: Instructions the seed weighs in the mean — about one TPC-H module,
 #: so a handful of measured compiles outweighs it.
 _SEED_INSTRUCTIONS = 2000
-
-
-def _module_size(module: Module) -> int:
-    return sum(func.instruction_count() for func in module.functions)
 
 
 class CompileRates:
@@ -121,23 +248,6 @@ class CompileRates:
 #: The process-wide rates behind every tier-up estimate.
 compile_rates = CompileRates()
 
-
-#: The valid tiering modes, in decreasing order of sophistication.
-ENGINE_MODES = ("adaptive_stencil", "adaptive", "turbofan", "liftoff",
-                "stencil", "interpreter")
-
-#: The tier-up ladder per adaptive mode: functions start on the first
-#: tier and climb as their meter pays for higher rungs.  Non-adaptive
-#: modes pin every function to their single tier.
-TIER_LADDERS = {
-    "adaptive": ("liftoff", "turbofan"),
-    "adaptive_stencil": ("stencil", "liftoff", "turbofan"),
-    "turbofan": ("turbofan",),
-    "liftoff": ("liftoff",),
-    "stencil": ("stencil",),
-    "interpreter": ("interp",),
-}
-
 #: The valid linter modes of :attr:`EngineConfig.lint`.
 LINT_MODES = ("off", "warn", "strict")
 
@@ -153,11 +263,6 @@ class EngineConfig:
     """
 
     mode: str = "adaptive"          # one of ENGINE_MODES
-    #: ``None`` (default): promote a function when the time it has run
-    #: covers a rung's estimated compile time.  An int: promote one rung
-    #: per that many calls instead (deterministic; tests, ablations).
-    tier_up_threshold: int | None = None
-    validate: bool = True
     #: Static-analysis linter over every instantiated module:
     #: "off" (default), "warn" (Python warnings), or "strict"
     #: (:class:`~repro.errors.LintError` on any diagnostic).
@@ -166,22 +271,11 @@ class EngineConfig:
     #: analysis proves the access in bounds of the declared memory minimum.
     elide_bounds_checks: bool = True
     fault_injector: object = None   # a repro.robustness.FaultInjector
-    #: Optional :class:`~repro.observability.QueryTrace`; when set, the
-    #: engine records validate/lint/compile spans and tier-up events.
-    trace: object = None
 
     def __post_init__(self):
         if self.mode not in ENGINE_MODES:
             raise ConfigError(
                 f"unknown engine mode {self.mode!r}; have {ENGINE_MODES}"
-            )
-        threshold = self.tier_up_threshold
-        if threshold is not None and (
-                not isinstance(threshold, int) or isinstance(threshold, bool)
-                or threshold < 1):
-            raise ConfigError(
-                f"tier_up_threshold must be None (cost meter) or an "
-                f"int >= 1 (calls per rung), got {threshold!r}"
             )
         if self.lint not in LINT_MODES:
             raise ConfigError(
@@ -193,20 +287,20 @@ class EngineConfig:
                 f"got {self.elide_bounds_checks!r}"
             )
 
-    @property
-    def tier_ladder(self) -> tuple[str, ...]:
-        """The tiers this mode runs through, lowest first."""
-        return TIER_LADDERS[self.mode]
-
 
 @dataclass
 class TierStats:
     """Per-instance compilation accounting (the phases of Figure 10)."""
 
-    liftoff_seconds: float = 0.0
-    turbofan_seconds: float = 0.0
-    liftoff_functions: int = 0
-    turbofan_functions: int = 0
+    #: Compile seconds and functions compiled, by tier name — including
+    #: time spent assembling (or fetching) tier-0 stencil code.
+    seconds: dict[str, float] = field(
+        default_factory=lambda: dict.fromkeys(TIERS, 0.0))
+    functions: dict[str, int] = field(
+        default_factory=lambda: dict.fromkeys(TIERS, 0))
+    #: The sum of ``seconds``, kept beside it because the tier-up meter
+    #: reads it around every metered call.
+    total_compile_seconds: float = 0.0
     tier_ups: int = 0
     #: Tier compilations that failed; each pins its function to a lower
     #: tier for the rest of the instance's life (V8's bailout).
@@ -214,22 +308,10 @@ class TierStats:
     #: Per-access bounds checks TurboFan statically proved away using the
     #: interval analysis (summed over its compiled functions).
     bounds_checks_elided: int = 0
-    #: Tier-0 accounting: time spent assembling (or fetching) stencil
-    #: code, functions bound to it, and whether this instance's module
-    #: shape was served from the process-wide stencil cache.
-    stencil_seconds: float = 0.0
-    stencil_functions: int = 0
+    #: Whether this instance's module shape was served from the
+    #: process-wide stencil cache.
     stencil_cache_hits: int = 0
     stencil_cache_misses: int = 0
-    #: Whole-module stencil assemblies that declined (unsupported op,
-    #: instrumented run, injected fault); the instance fell back to the
-    #: Liftoff path — queries never fail because tier-0 declined.
-    stencil_fallbacks: int = 0
-
-    @property
-    def total_compile_seconds(self) -> float:
-        return (self.stencil_seconds + self.liftoff_seconds
-                + self.turbofan_seconds)
 
 
 class Instance:
@@ -251,8 +333,15 @@ class Instance:
         self.funcs: list = [None] * (len(module.imports) + len(module.functions))
         self.table: list[int | None] = []
         self.profile = None  # a costmodel Profile during instrumented runs
+        #: The :class:`~repro.observability.QueryTrace` of the run that
+        #: occupies this instance; compile spans, tier-up events and
+        #: injected compile faults are recorded in it.
+        self.trace = None
         self.lint_diagnostics: list = []
         self.stats = TierStats()
+        #: tier name -> what that tier's ``Tier.build`` returned, kept so
+        #: that neither a module nor a run of promotions pays it twice.
+        self.compilers: dict = {}
         self._exports = {e.name: e for e in module.exports}
 
     # -- calls -----------------------------------------------------------------
@@ -299,6 +388,13 @@ class Instance:
             )
 
 
+def _decision(spent: float, cost: float) -> dict:
+    """The meter reading a tier-up event carries (both zero when the
+    mode, not a meter, chose the tier: at instantiation)."""
+    return {"spent_ms": round(spent * 1000.0, 3),
+            "estimated_compile_ms": round(cost * 1000.0, 3)}
+
+
 class Engine:
     """Instantiates modules and drives adaptive tier-up."""
 
@@ -311,24 +407,26 @@ class Engine:
         imports: dict[tuple[str, str], object] | None = None,
         memory: LinearMemory | None = None,
         profile=None,
+        trace=None,
     ) -> Instance:
         """Build an instance: resolve imports, set up memory, compile.
 
         ``memory`` plays the role of the paper's ``SetModuleMemory()``
         patch: the host passes a linear memory whose pages alias its own
         rewired buffers.  If omitted, a private memory is created from the
-        module's memory section.
+        module's memory section.  ``trace`` is an optional
+        :class:`~repro.observability.QueryTrace` for the validate, lint
+        and compile spans; it stays the instance's trace until the host
+        sets the next run's.
         """
-        if self.config.validate:
-            with trace_span(self.config.trace, "validate"):
-                validate_module(module)
+        with trace_span(trace, "validate"):
+            validate_module(module)
 
         lint_diagnostics: list = []
         if self.config.lint != "off":
             from repro.wasm.analysis import ModuleLinter
 
-            with trace_span(self.config.trace, "lint",
-                            mode=self.config.lint):
+            with trace_span(trace, "lint", mode=self.config.lint):
                 lint_diagnostics = ModuleLinter(module).lint()
             if lint_diagnostics:
                 if self.config.lint == "strict":
@@ -359,6 +457,7 @@ class Engine:
                                   max_pages=spec.maximum)
         instance = Instance(module, memory)
         instance.profile = profile
+        instance.trace = trace
         instance.lint_diagnostics = lint_diagnostics
 
         # imports
@@ -394,164 +493,110 @@ class Engine:
     # -- compilation -------------------------------------------------------------
 
     def _compile_all(self, instance: Instance) -> None:
-        mode = self.config.mode
+        """Put every function on the first rung of the mode's ladder."""
         module = instance.module
-        n_imports = len(module.imports)
+        first = len(module.imports)
+        tier = TIERS[TIER_LADDERS[self.config.mode][0]]
+        with trace_span(instance.trace, tier.span,
+                        functions=len(module.functions)):
+            for func_index in range(first, first + len(module.functions)):
+                self._compile_and_land(instance, func_index, tier)
 
-        trace = self.config.trace
-        if mode == "interpreter":
-            with trace_span(trace, "compile.interpreter",
-                            functions=len(module.functions)):
-                interp = Interpreter(instance)
-                for i, func in enumerate(module.functions):
-                    instance.funcs[n_imports + i] = interp.make_callable(func)
-            return
+    def _compile_and_land(self, instance: Instance, func_index: int,
+                          tier: Tier, current=None, spent: float = 0.0,
+                          cost: float = 0.0, pinned: bool = False) -> None:
+        """Compile one function for ``tier`` and install it — the one
+        routine behind instantiation (``current`` is ``None``) and
+        promotion (``current`` is the raw callable of the tier the
+        function is on, ``spent``/``cost`` its meter's decision).
 
-        instrumented = instance.profile is not None
-        injector = self.config.fault_injector
+        The time is charged to the tier's :class:`TierStats` and, when
+        the compile succeeds, to the process-wide rates estimates come
+        from; the function gets a meter for the rungs above unless it
+        is ``pinned``.
 
-        if mode == "turbofan":
-            compiler = TurboFanCompiler(
-                module, elide_bounds_checks=self.config.elide_bounds_checks
-            )
-            fallback = None
-            start = _clock()
-            with trace_span(trace, "compile.turbofan",
-                            functions=len(module.functions)):
-                for i, func in enumerate(module.functions):
-                    try:
-                        if injector is not None:
-                            injector.check("turbofan.compile")
-                        compiled = compiler.compile(
-                            func, n_imports + i, instrumented
-                        )
-                        instance.stats.turbofan_functions += 1
-                        instance.stats.bounds_checks_elided += \
-                            compiled.bounds_checks_elided
-                    except CompilationError:
-                        # V8-style bailout: even under enforced optimization a
-                        # function TurboFan rejects stays on the baseline tier
-                        # instead of failing the whole instantiation.
-                        if fallback is None:
-                            fallback = LiftoffCompiler(module)
-                        compiled = fallback.compile(
-                            func, n_imports + i, instrumented
-                        )
-                        instance.stats.tier_up_failures += 1
-                        instance.stats.liftoff_functions += 1
-                        trace_event(trace, "turbofan.bailout",
-                                    function=n_imports + i)
-                        get_registry().counter(
-                            "engine_tier_up_failures_total",
-                            "Tier compilations that failed; the function "
-                            "stays on a lower tier",
-                        # "from" the tier the function lands on instead
-                        ).inc(from_tier="liftoff", to_tier="turbofan")
-                    instance.funcs[n_imports + i] = compiled.bind(
-                        instance, instance.profile
-                    )
-            seconds = _clock() - start
-            instance.stats.turbofan_seconds += seconds
-            if fallback is None:
-                compile_rates.record("turbofan", _module_size(module),
-                                     seconds)
-            return
-
-        # Stencil modes whose assembly declines (unsupported op, injected
-        # fault) land on Liftoff code like the other modes — the
-        # retryable StencilError never escapes the engine.
-        if not (mode in ("stencil", "adaptive_stencil")
-                and self._compile_stencil(instance)):
-            compiler = LiftoffCompiler(module)
-            start = _clock()
-            with trace_span(trace, "compile.liftoff",
-                            functions=len(module.functions)):
-                for i, func in enumerate(module.functions):
-                    if injector is not None:
-                        # there is no lower compiled tier: a baseline
-                        # failure aborts instantiation and is handled by
-                        # the fallback chain (wasm[interpreter], volcano)
-                        injector.check("liftoff.compile")
-                    compiled = compiler.compile(
-                        func, n_imports + i, instrumented
-                    )
-                    instance.funcs[n_imports + i] = compiled.bind(
-                        instance, instance.profile
-                    )
-            seconds = _clock() - start
-            instance.stats.liftoff_seconds += seconds
-            instance.stats.liftoff_functions += len(module.functions)
-            compile_rates.record("liftoff", _module_size(module), seconds)
-
-        if len(self.config.tier_ladder) > 1:
-            for i in range(len(module.functions)):
-                self._install_tier_up_trigger(instance, n_imports + i)
-
-    def _compile_stencil(self, instance: Instance) -> bool:
-        """Bind tier-0 stencil code to every function; False to decline.
-
-        Assembly is served from the process-wide shape-keyed cache
-        (:mod:`repro.wasm.stencil.cache`), so a structurally familiar
-        module skips even the (cheap) assembly pass.  Any failure — an
-        op without a stencil, an injected ``stencil.assemble`` fault —
-        declines the whole module and the caller lands on the Liftoff
-        path: tier-0 is an optimization, never a failure mode.
-
-        Instrumented (profiling) runs assemble stencils too: the bound
-        dispatch loop counts its executed stencils into the profile
-        (see :meth:`~repro.wasm.stencil.assemble.StencilFunction.bind`),
-        so the cost model sees tier-0 work instead of tier-0 silently
-        declining to Liftoff.
+        A compile that raises :class:`CompilationError` is handled by
+        one rule, at either moment: it is counted in
+        ``TierStats.tier_up_failures``, recorded as a ``tier_up.failure``
+        event and in ``engine_tier_up_failures_total``, and the function
+        is *pinned* to the rung the table says it lands on — compiled
+        through this same routine, or simply kept when the function is
+        on that rung already — without a meter, so no compile is
+        retried.  Where the table names no rung, a function with code
+        keeps it (a failed compile must never abort a half-executed
+        query: real V8 keeps running baseline code when an optimization
+        job bails out) and a function without any raises.
         """
         module = instance.module
-        n_imports = len(module.imports)
-        trace = self.config.trace
-        stats = instance.stats
+        func = module.functions[func_index - len(module.imports)]
+        stats, trace = instance.stats, instance.trace
         injector = self.config.fault_injector
+        from_tier = current.tier if current is not None else "none"
+        elided = stats.bounds_checks_elided
+        failure = None
         start = _clock()
-        hit = False
         try:
-            with trace_span(trace, "compile.stencil",
-                            functions=len(module.functions)) as span:
-                if injector is not None:
-                    injector.check("stencil.assemble")
-                artifacts, hit = get_stencil_cache().get(module)
-                if span is not None:
-                    span.attrs["cache"] = "hit" if hit else "miss"
+            compile_one = instance.compilers.get(tier.name)
+            if compile_one is None:
+                compile_one = instance.compilers[tier.name] = tier.build(
+                    self.config, instance)
+            if injector is not None and tier.fault_site is not None:
+                injector.check(tier.fault_site, trace)
+            bound = compile_one(func, func_index)
         except CompilationError as exc:
-            stats.stencil_seconds += _clock() - start
-            stats.stencil_fallbacks += 1
-            trace_event(trace, "stencil.fallback", reason=str(exc))
-            get_registry().counter(
-                "engine_stencil_fallbacks_total",
-                "Stencil assemblies that fell back to Liftoff",
-            ).inc()
-            return False
-        stats.stencil_seconds += _clock() - start
-        if hit:
-            stats.stencil_cache_hits += 1
-        else:
-            stats.stencil_cache_misses += 1
-        for i, artifact in enumerate(artifacts):
-            instance.funcs[n_imports + i] = artifact.bind(
-                instance, instance.profile
-            )
-        stats.stencil_functions += len(artifacts)
-        return True
+            failure = exc
+        seconds = _clock() - start
+        stats.seconds[tier.name] += seconds
+        stats.total_compile_seconds += seconds
 
-    def _install_tier_up_trigger(self, instance: Instance, func_index: int,
-                                 spent: float = 0) -> None:
+        if failure is not None:
+            stats.tier_up_failures += 1
+            trace_event(trace, "tier_up.failure", function=func_index,
+                        name=func.name, from_tier=from_tier,
+                        to_tier=tier.name, **_decision(spent, cost))
+            get_registry().counter(
+                "engine_tier_up_failures_total",
+                "Tier compilations that failed; the function stays on a "
+                "lower tier",
+            ).inc(from_tier=from_tier, to_tier=tier.name)
+            if tier.lands_on not in (None, from_tier):
+                self._compile_and_land(instance, func_index,
+                                       TIERS[tier.lands_on], current,
+                                       spent, cost, pinned=True)
+            elif current is not None:
+                instance.funcs[func_index] = current
+            else:
+                raise failure
+            return
+
+        if tier.seed_rate is not None:
+            compile_rates.record(tier.name, func.instruction_count(),
+                                 seconds)
+        stats.functions[tier.name] += 1
+        instance.funcs[func_index] = bound
+        if not pinned:
+            self._install_meter(instance, func_index, spent)
+        if current is not None:
+            stats.tier_ups += 1
+            trace_event(trace, "tier_up", function=func_index,
+                        name=func.name, from_tier=from_tier,
+                        to_tier=tier.name, **_decision(spent, cost),
+                        elided=stats.bounds_checks_elided - elided)
+            get_registry().counter(
+                "engine_tier_ups_total",
+                "Functions promoted to a higher tier",
+            ).inc(from_tier=from_tier, to_tier=tier.name)
+
+    def _install_meter(self, instance: Instance, func_index: int,
+                       spent: float = 0.0) -> None:
         """Wrap a function below the top rung with the tier-up meter.
 
-        One wrapper serves both ladders and both meters.  The **cost
-        meter** (``tier_up_threshold=None``) accumulates the wall time
-        of the function's own calls — compile time spent inside them
-        excluded, a recursive activation left to the outermost one — on
-        top of ``spent``, the total handed on from the rungs below, and
-        promotes at the next call once that total covers the estimated
-        compile seconds of a higher rung.  The **call meter** (an int
-        threshold) charges one per call instead and buys the next rung
-        at ``threshold`` calls, restarting from zero on every rung.
+        The meter accumulates the wall time of the function's own calls
+        — compile time spent inside them excluded, a recursive
+        activation left to the outermost one — on top of ``spent``, the
+        total handed on from the rungs below, and promotes at the next
+        call once that total covers the estimated compile seconds of a
+        higher rung.
 
         The meter lives in this closure, in the function table, so it
         keeps accumulating across re-runs of a cached instance; on
@@ -560,20 +605,15 @@ class Engine:
         patching.
         """
         current = instance.funcs[func_index]
-        ladder = self.config.tier_ladder
+        ladder = TIER_LADDERS[self.config.mode]
         rungs = ladder[ladder.index(current.tier) + 1:]
         if not rungs:
             return
-        threshold = self.config.tier_up_threshold
-        timed = threshold is None
-        if timed:
-            module = instance.module
-            size = module.functions[
-                func_index - len(module.imports)].instruction_count()
-            costs = tuple((rung, compile_rates.estimate(rung, size))
-                          for rung in rungs)
-        else:
-            costs = ((rungs[0], threshold),)
+        module = instance.module
+        size = module.functions[
+            func_index - len(module.imports)].instruction_count()
+        costs = tuple((rung, compile_rates.estimate(rung, size))
+                      for rung in rungs)
         due = min(cost for _, cost in costs)
         engine = self
         stats = instance.stats
@@ -583,20 +623,15 @@ class Engine:
             nonlocal spent, running
             if running:
                 return current(*args)
-            if not timed:
-                spent += 1
-                if spent < due:
-                    return current(*args)
-            elif spent < due:
+            if spent < due:
                 running = True
-                compiling = stats.liftoff_seconds + stats.turbofan_seconds
+                compiling = stats.total_compile_seconds
                 start = _clock()
                 try:
                     return current(*args)
                 finally:
                     spent += (_clock() - start) - (
-                        stats.liftoff_seconds + stats.turbofan_seconds
-                        - compiling)
+                        stats.total_compile_seconds - compiling)
                     running = False
             engine._promote(instance, func_index, current, costs, spent)
             return instance.funcs[func_index](*args)
@@ -606,98 +641,10 @@ class Engine:
 
     def _promote(self, instance: Instance, func_index: int, current,
                  costs: tuple, spent: float) -> None:
-        """Move one function to the highest rung its meter has paid for.
-
-        A failed compile must never abort a half-executed query (real
-        V8 keeps running baseline code when an optimization job bails
-        out): the :class:`CompilationError` is swallowed, counted in
-        ``TierStats.tier_up_failures``, and the function is *pinned* —
-        the next lower paid-for rung is tried, and whatever the function
-        lands on (at worst ``current``, the raw callable of the tier it
-        was on) is installed without a meter, so no compile is retried.
-        """
-        module = instance.module
-        func = module.functions[func_index - len(module.imports)]
-        stats = instance.stats
-        trace = self.config.trace
-        from_tier = current.tier
-        timed = self.config.tier_up_threshold is None
-        pinned = False
-        for rung, cost in reversed(costs):
-            if cost > spent:
-                continue
-            if timed:
-                decision = {"spent_ms": round(spent * 1000.0, 3),
-                            "estimated_compile_ms": round(cost * 1000.0, 3)}
-            else:
-                decision = {"calls": spent, "threshold": cost}
-            try:
-                promoted = self._compile_rung(instance, func, func_index,
-                                              rung)
-            except CompilationError:
-                stats.tier_up_failures += 1
-                pinned = True
-                trace_event(trace, "tier_up.failure", function=func_index,
-                            name=func.name, from_tier=from_tier,
-                            to_tier=rung, **decision)
-                get_registry().counter(
-                    "engine_tier_up_failures_total",
-                    "Tier compilations that failed; the function stays "
-                    "on a lower tier",
-                ).inc(from_tier=from_tier, to_tier=rung)
-                continue
-            stats.tier_ups += 1
-            instance.funcs[func_index] = promoted
-            if not pinned:
-                self._install_tier_up_trigger(instance, func_index,
-                                              spent if timed else 0)
-            if rung == "turbofan":
-                decision["elided"] = promoted.compiled.bounds_checks_elided
-            trace_event(trace, "tier_up", function=func_index,
-                        name=func.name, from_tier=from_tier, to_tier=rung,
-                        **decision)
-            get_registry().counter(
-                "engine_tier_ups_total",
-                "Functions promoted to a higher tier",
-            ).inc(from_tier=from_tier, to_tier=rung)
-            return
-        instance.funcs[func_index] = current
-
-    def _compile_rung(self, instance: Instance, func, func_index: int,
-                      rung: str):
-        """Compile and bind one function for ``rung`` during execution,
-        charging the time to that tier's ``TierStats`` and, when the
-        compile succeeds, to the process-wide rate estimates come from."""
-        module = instance.module
-        stats = instance.stats
-        injector = self.config.fault_injector
-        instrumented = instance.profile is not None
-        start = _clock()
-        try:
-            if injector is not None:
-                injector.check(f"{rung}.compile")
-            with trace_span(self.config.trace, f"compile.{rung}",
-                            function=func_index):
-                if rung == "turbofan":
-                    compiled = TurboFanCompiler(
-                        module,
-                        elide_bounds_checks=self.config.elide_bounds_checks,
-                    ).compile(func, func_index, instrumented)
-                else:
-                    compiled = LiftoffCompiler(module).compile(
-                        func, func_index, instrumented
-                    )
-            bound = compiled.bind(instance, instance.profile)
-        finally:
-            seconds = _clock() - start
-            if rung == "turbofan":
-                stats.turbofan_seconds += seconds
-            else:
-                stats.liftoff_seconds += seconds
-        compile_rates.record(rung, func.instruction_count(), seconds)
-        if rung == "turbofan":
-            stats.turbofan_functions += 1
-            stats.bounds_checks_elided += compiled.bounds_checks_elided
-        else:
-            stats.liftoff_functions += 1
-        return bound
+        """Move one function to the highest rung its meter has paid for."""
+        rung, cost = next(paid for paid in reversed(costs)
+                          if paid[1] <= spent)
+        tier = TIERS[rung]
+        with trace_span(instance.trace, tier.span, function=func_index):
+            self._compile_and_land(instance, func_index, tier, current,
+                                   spent, cost)

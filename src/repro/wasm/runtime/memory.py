@@ -51,6 +51,9 @@ class LinearMemory:
     #: Optional :class:`repro.robustness.FaultInjector`; when set, the
     #: ``memory.grow`` site is consulted before pages are handed out.
     fault_injector = None
+    #: The trace of the run this memory currently serves (set by the
+    #: host per run); an injected ``memory.grow`` fault is recorded in it.
+    trace = None
 
     def __init__(self, space: AddressSpace | None = None, min_pages: int = 1,
                  max_pages: int | None = None):
@@ -82,7 +85,7 @@ class LinearMemory:
         if delta_pages == 0:
             return old
         if self.fault_injector is not None:
-            self.fault_injector.check("memory.grow")
+            self.fault_injector.check("memory.grow", self.trace)
         try:
             self.space.alloc(f"__grow_{old}__", delta_pages * WASM_PAGE_SIZE)
         except ResourceExhausted:

@@ -5,13 +5,17 @@ same statement must come out the same through either — as a plain
 SELECT, as a plan-cache miss and hit, and as PREPARE/EXECUTE."""
 
 import re
+import threading
 
 import pytest
 
 import repro.db.database as database_module
 import repro.server.service as service_module
 from repro.db import Database
+from repro.errors import ConfigError, EngineError, Trap
+from repro.observability import QueryTrace
 from repro.observability.metrics import get_registry
+from repro.robustness import FaultInjector
 from repro.server import QueryService
 
 from tests.feedback.test_differential import QUERIES, canonical, populate
@@ -160,3 +164,77 @@ class TestExplainSharesPlanning:
             strict.execute(self.SQL)
         assert "lint: " in strict.explain(self.SQL)
         assert "seeded finding" in strict.explain(self.SQL)
+
+
+class TestInjectedFaultsAreTraced:
+    """A fault that fires is recorded in the trace of the query that
+    visited the site — through either door, and in no other query's."""
+
+    SQL = "SELECT id, x FROM a WHERE x > 50"
+
+    @staticmethod
+    def _sites(trace) -> list[str]:
+        return [e.attrs["site"] for e in trace.find("fault.injected")]
+
+    def test_an_engine_fault_is_recorded_through_either_door(self):
+        db = Database()
+        populate(db)
+        rows = db.execute(self.SQL, engine="volcano").rows
+        for door in (db, QueryService(db)):
+            db.engine("wasm").fault_injector = FaultInjector.always(
+                "trap.morsel", max_fires=1)
+            trace = QueryTrace()
+            with pytest.raises(Trap):
+                door.execute(self.SQL, trace=trace)
+            assert self._sites(trace) == ["trap.morsel"]
+            # the transient fault spent, the same door answers
+            assert sorted(door.execute(self.SQL).rows) == sorted(rows)
+
+    def test_a_service_fault_is_recorded_in_the_service_trace(self):
+        db = Database()
+        populate(db)
+        service = QueryService(db, fault_injector=FaultInjector.always(
+            "cache.lookup", max_fires=1))
+        trace = QueryTrace()
+        with pytest.raises(EngineError):
+            service.execute(self.SQL, trace=trace)
+        assert self._sites(trace) == ["cache.lookup"]
+
+    def test_concurrent_queries_keep_their_own_events(self):
+        db = Database()
+        populate(db)
+        service = QueryService(db)
+        db.engine("wasm").fault_injector = FaultInjector.always("trap.morsel")
+        barrier = threading.Barrier(2)
+        seen: list[list[str]] = []
+
+        def client():
+            barrier.wait(timeout=30)
+            for _ in range(25):
+                trace = QueryTrace()
+                with pytest.raises(Trap):
+                    service.execute(self.SQL, trace=trace)
+                seen.append(self._sites(trace))
+
+        threads = [threading.Thread(target=client) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+        assert seen == [["trap.morsel"]] * 50
+
+
+class TestUnknownMode:
+    def test_rejected_when_the_spec_is_resolved(self, doors):
+        db, service = doors
+        with pytest.raises(ConfigError, match="unknown engine mode 'bogus'"):
+            db.resolve_engine("wasm[bogus]")
+        with pytest.raises(ConfigError, match="no execution modes"):
+            db.resolve_engine("volcano[fast]")
+        for door in doors:
+            trace = QueryTrace()
+            with pytest.raises(ConfigError, match="unknown engine mode"):
+                door.execute(QUERIES[0], engine="wasm[bogus]", trace=trace)
+            # nothing was translated or compiled for it
+            assert not trace.find("translation")

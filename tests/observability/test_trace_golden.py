@@ -45,13 +45,18 @@ def make_db() -> Database:
     return db
 
 
+@pytest.fixture(autouse=True)
+def hot_on_the_second_call(tier_clock):
+    """Every metered call takes a tick and TurboFan is paid for by one,
+    so adaptive mode tiers a function up as its second call comes in."""
+    tier_clock.promote_after(turbofan=1)
+
+
 def run_traced(query_name: str, mode: str) -> QueryTrace:
     sql = QUERIES[query_name]
     db = make_db()
-    # morsel_size=32 over 96 rows -> exactly 3 morsels per scan pipeline;
-    # threshold 2 makes adaptive mode tier up at the third morsel.
-    db._engines["wasm"] = WasmEngine(mode=mode, morsel_size=32,
-                                     tier_up_threshold=2)
+    # morsel_size=32 over 96 rows -> exactly 3 morsels per scan pipeline
+    db._engines["wasm"] = WasmEngine(mode=mode, morsel_size=32)
     trace = QueryTrace(sql, clock=FakeClock())
     result = db.execute(sql, trace=trace)
     assert result.trace is trace
@@ -76,9 +81,10 @@ GOLDEN_KINDS = {
             "compile.interpreter", "execution",
             "pipeline", "morsel", "morsel", "morsel", "tier_stats",
         ],
-        # The adaptive story in one line: two Liftoff morsels trip the
-        # counter, TurboFan compiles inside the second morsel's call
-        # boundary, the third morsel runs optimized code.
+        # The adaptive story in one line: the first Liftoff morsel pays
+        # for TurboFan, which compiles at the second morsel's call
+        # boundary; that morsel (still reported as the tier it entered
+        # on) and the third run optimized code.
         "adaptive": _FRONTEND + [
             "translation", "codegen.pipeline", "validate",
             "compile.liftoff", "execution",

@@ -24,25 +24,16 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             EngineConfig(mode="speculative")
 
-    @pytest.mark.parametrize("threshold", [0, -3, 1.5, "2", True])
-    def test_bad_threshold_rejected_at_construction(self, threshold):
-        with pytest.raises(ConfigError):
-            EngineConfig(tier_up_threshold=threshold)
-
-    def test_threshold_is_the_cost_meter_or_a_call_count(self):
-        assert EngineConfig().tier_up_threshold is None
-        assert EngineConfig(tier_up_threshold=None).tier_up_threshold is None
-        assert EngineConfig(tier_up_threshold=7).tier_up_threshold == 7
-
     def test_valid_configs_pass(self):
         for mode in ("adaptive", "liftoff", "turbofan", "interpreter"):
             assert EngineConfig(mode=mode).mode == mode
 
 
 class TestTierUpPinning:
-    def test_failed_tier_up_pins_to_liftoff(self):
+    def test_failed_tier_up_pins_to_liftoff(self, tier_clock):
+        tier_clock.promote_after(turbofan=3)
         injector = FaultInjector.always("turbofan.compile")
-        engine = Engine(EngineConfig(mode="adaptive", tier_up_threshold=3,
+        engine = Engine(EngineConfig(mode="adaptive",
                                      fault_injector=injector))
         instance = engine.instantiate(counter_module())
         # the failed tier-up must not abort the in-flight call sequence
@@ -52,9 +43,10 @@ class TestTierUpPinning:
         assert instance.stats.tier_up_failures == 1
         assert instance.stats.tier_ups == 0
 
-    def test_pinned_function_is_not_recompiled(self):
+    def test_pinned_function_is_not_recompiled(self, tier_clock):
+        tier_clock.promote_after(turbofan=2)
         injector = FaultInjector.always("turbofan.compile")
-        engine = Engine(EngineConfig(mode="adaptive", tier_up_threshold=2,
+        engine = Engine(EngineConfig(mode="adaptive",
                                      fault_injector=injector))
         instance = engine.instantiate(counter_module())
         for _ in range(50):
@@ -63,9 +55,11 @@ class TestTierUpPinning:
         assert instance.stats.tier_up_failures == 1
         assert injector.fired["turbofan.compile"] == 1
 
-    def test_stencil_ladder_pins_liftoff_when_turbofan_fails(self):
+    def test_stencil_ladder_pins_liftoff_when_turbofan_fails(
+            self, tier_clock):
         """The failing rung is not retried from the stencil ladder
         either, and both counters carry the rungs as labels."""
+        tier_clock.promote_after(liftoff=2, turbofan=4)
         failures = get_registry().counter("engine_tier_up_failures_total")
         promotions = get_registry().counter("engine_tier_ups_total")
         failed_before = failures.value(from_tier="liftoff",
@@ -74,7 +68,6 @@ class TestTierUpPinning:
                                            to_tier="liftoff")
         injector = FaultInjector.always("turbofan.compile")
         engine = Engine(EngineConfig(mode="adaptive_stencil",
-                                     tier_up_threshold=2,
                                      fault_injector=injector))
         instance = engine.instantiate(counter_module())
         values = [instance.invoke("bump") for _ in range(50)]
@@ -88,8 +81,11 @@ class TestTierUpPinning:
         assert promotions.value(from_tier="stencil", to_tier="liftoff") \
             == promoted_before + 1
 
-    def test_real_compilation_error_is_also_pinned(self, monkeypatch):
+    def test_real_compilation_error_is_also_pinned(self, monkeypatch,
+                                                   tier_clock):
         import repro.wasm.runtime.engine as engine_module
+
+        tier_clock.promote_after(turbofan=2)
 
         class Exploding:
             def __init__(self, module, **kwargs):
@@ -99,7 +95,7 @@ class TestTierUpPinning:
                 raise CompilationError("optimizer bailed out")
 
         monkeypatch.setattr(engine_module, "TurboFanCompiler", Exploding)
-        engine = Engine(EngineConfig(mode="adaptive", tier_up_threshold=2))
+        engine = Engine(EngineConfig(mode="adaptive"))
         instance = engine.instantiate(counter_module())
         values = [instance.invoke("bump") for _ in range(6)]
         assert values == list(range(1, 7))
@@ -115,7 +111,7 @@ class TestTurbofanModeBailout:
         assert instance.invoke("bump") == 1
         assert instance.tier_of("bump") == "liftoff"
         assert instance.stats.tier_up_failures == 1
-        assert instance.stats.turbofan_functions == 0
+        assert instance.stats.functions["turbofan"] == 0
 
     def test_liftoff_failure_aborts_instantiation(self):
         injector = FaultInjector.always("liftoff.compile")

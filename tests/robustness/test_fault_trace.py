@@ -16,7 +16,10 @@ from repro.robustness import FaultInjector
 
 
 @pytest.fixture()
-def db():
+def db(tier_clock):
+    # four 16-row morsels must reach the TurboFan compile site, which
+    # the cost meter on the real clock would not buy
+    tier_clock.promote_after(turbofan=1)
     db = Database(default_engine="wasm", fallback="default")
     db.execute("CREATE TABLE t (id INT PRIMARY KEY, v INT)")
     db.table("t").append_rows([(i, i * 3) for i in range(64)])
@@ -24,10 +27,7 @@ def db():
 
 
 def _with_injector(db, injector) -> WasmEngine:
-    # an explicit call threshold: four 16-row morsels must reach the
-    # TurboFan compile site, which the default cost meter would not buy
-    engine = WasmEngine(morsel_size=16, tier_up_threshold=2,
-                        fault_injector=injector)
+    engine = WasmEngine(morsel_size=16, fault_injector=injector)
     db._engines["wasm"] = engine
     return engine
 

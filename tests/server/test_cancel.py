@@ -208,11 +208,15 @@ class TestDeadline:
 class TestTierBreaker:
     SQL = "SELECT x FROM t WHERE x < 90"
 
+    @pytest.fixture(autouse=True)
+    def hot_fast(self, tier_clock):
+        """Functions get hot fast: one call pays for TurboFan."""
+        tier_clock.promote_after(liftoff=1, turbofan=1)
+
     def _service(self, clock):
         svc = make_service(breaker_threshold=2, breaker_cooldown=10.0,
                            breaker_clock=lambda: clock[0])
         engine = svc.db.engine("wasm")
-        engine.tier_up_threshold = 2  # functions get hot fast
         engine.fault_injector = FaultInjector.always("turbofan.compile")
         return svc
 

@@ -314,8 +314,9 @@ class TestBoundsCheckElision:
         assert instance.stats.bounds_checks_elided == 1
         assert instance.invoke("scan", 0, 100) == sum(range(100))
 
-    def test_adaptive_tier_up_counts_elisions(self):
-        engine = Engine(EngineConfig(mode="adaptive", tier_up_threshold=2))
+    def test_adaptive_tier_up_counts_elisions(self, tier_clock):
+        tier_clock.promote_after(turbofan=2)
+        engine = Engine(EngineConfig(mode="adaptive"))
         instance = engine.instantiate(scan_module())
         for _ in range(4):
             instance.invoke("scan", 0, 10)

@@ -171,50 +171,51 @@ class TestDifferentialFuzz:
 class TestAdaptiveTieringProperties:
     """Property tests of adaptive tier-up over seeded scan modules.
 
-    For any module and any threshold: the tier a call runs on never
-    decreases (liftoff -> turbofan is a one-way door), the transition
-    happens exactly at the threshold call, and the trace/TierStats
-    accounts agree with the observed per-call tiers.
+    For any module and any threshold (calls until TurboFan is paid for,
+    under the one-tick-per-call ``tier_clock``): the tier a call runs on
+    never decreases (liftoff -> turbofan is a one-way door), the
+    transition happens exactly at the call after the threshold, and the
+    trace/TierStats accounts agree with the observed per-call tiers.
     """
 
     _ORDER = {"liftoff": 0, "turbofan": 1}
 
-    def _drive(self, module, n_rows, threshold, trace=None):
+    def _drive(self, clock, module, n_rows, threshold, trace=None):
         from repro.wasm.runtime import Engine, EngineConfig
 
-        engine = Engine(EngineConfig(mode="adaptive",
-                                     tier_up_threshold=threshold,
-                                     trace=trace))
-        instance = engine.instantiate(module)
+        clock.promote_after(turbofan=threshold)
+        engine = Engine(EngineConfig(mode="adaptive"))
+        instance = engine.instantiate(module, trace=trace)
         tiers = []
-        for call in range(threshold + 3):
+        for call in range(threshold + 4):
             tiers.append(instance.tier_of("main"))
             instance.invoke("main", 0, n_rows)
         return instance, tiers
 
-    def test_tier_never_decreases(self):
+    def test_tier_never_decreases(self, tier_clock):
         rng = random.Random(0x7137)
         for _ in range(10):
             module, n_rows = _scan_module(rng)
             threshold = rng.randrange(1, 8)
-            _, tiers = self._drive(module, n_rows, threshold)
+            _, tiers = self._drive(tier_clock, module, n_rows, threshold)
             ranks = [self._ORDER[t] for t in tiers]
             assert ranks == sorted(ranks), (
                 f"tier regressed under threshold {threshold}: {tiers}"
             )
 
-    def test_tier_up_exactly_at_threshold(self):
+    def test_tier_up_exactly_at_threshold(self, tier_clock):
         rng = random.Random(0xADA7)
         for _ in range(10):
             module, n_rows = _scan_module(rng)
             threshold = rng.randrange(1, 8)
-            _, tiers = self._drive(module, n_rows, threshold)
-            # calls 1..threshold run Liftoff code; the threshold-th call
-            # triggers recompilation, so every later call is optimized
-            assert tiers[:threshold] == ["liftoff"] * threshold
-            assert all(t == "turbofan" for t in tiers[threshold:])
+            _, tiers = self._drive(tier_clock, module, n_rows, threshold)
+            # calls 1..threshold run Liftoff code and pay for TurboFan;
+            # the next call enters through the meter and recompiles, so
+            # every call after it finds optimized code
+            assert tiers[:threshold + 1] == ["liftoff"] * (threshold + 1)
+            assert all(t == "turbofan" for t in tiers[threshold + 1:])
 
-    def test_morsel_tiers_agree_with_tier_stats(self):
+    def test_morsel_tiers_agree_with_tier_stats(self, tier_clock):
         from repro.observability import FakeClock, QueryTrace
 
         rng = random.Random(0x57A7)
@@ -222,16 +223,16 @@ class TestAdaptiveTieringProperties:
             module, n_rows = _scan_module(rng)
             threshold = rng.randrange(1, 8)
             trace = QueryTrace(clock=FakeClock())
-            instance, tiers = self._drive(module, n_rows, threshold,
-                                          trace=trace)
+            instance, tiers = self._drive(tier_clock, module, n_rows,
+                                          threshold, trace=trace)
             stats = instance.stats
             # one trace event per successful tier-up, and the counters
             # explain exactly the observed per-call tier transition
             assert len(trace.find("tier_up")) == stats.tier_ups == 1
             assert stats.tier_up_failures == 0
-            assert stats.turbofan_functions == 1
+            assert stats.functions["turbofan"] == 1
             assert tiers.count("turbofan") == 3
-            assert stats.liftoff_functions == 1
+            assert stats.functions["liftoff"] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -246,74 +247,79 @@ class TestStencilLadderProperties:
     stencil, Liftoff, TurboFan) are known to agree byte-for-byte.  This
     class checks the *dynamic* properties: over seeded scan modules the
     per-call tier climbs stencil -> Liftoff -> TurboFan monotonically,
-    each rung holds for exactly ``threshold`` calls, results never
-    change across a promotion, and the trace records each rung.
+    each rung is paid for by ``threshold`` calls (one tick each under
+    the ``tier_clock``), results never change across a promotion, and
+    the trace records each rung.
     """
 
     _ORDER = {"stencil": 0, "liftoff": 1, "turbofan": 2}
 
-    def _drive(self, module, n_rows, threshold, trace=None):
+    def _drive(self, clock, module, n_rows, threshold, trace=None):
         from repro.wasm.runtime import Engine, EngineConfig
 
-        engine = Engine(EngineConfig(mode="adaptive_stencil",
-                                     tier_up_threshold=threshold,
-                                     trace=trace))
-        instance = engine.instantiate(module)
+        clock.promote_after(liftoff=threshold, turbofan=2 * threshold)
+        engine = Engine(EngineConfig(mode="adaptive_stencil"))
+        instance = engine.instantiate(module, trace=trace)
         tiers, values = [], []
-        for call in range(2 * threshold + 3):
+        for call in range(2 * threshold + 4):
             tiers.append(instance.tier_of("main"))
             values.append(instance.invoke("main", 0, n_rows))
         return instance, tiers, values
 
-    def test_tier_never_decreases(self):
+    def test_tier_never_decreases(self, tier_clock):
         rng = random.Random(0x57E9C1)
         for _ in range(10):
             module, n_rows = _scan_module(rng)
             threshold = rng.randrange(1, 6)
-            _, tiers, _ = self._drive(module, n_rows, threshold)
+            _, tiers, _ = self._drive(tier_clock, module, n_rows,
+                                      threshold)
             ranks = [self._ORDER[t] for t in tiers]
             assert ranks == sorted(ranks), (
                 f"tier regressed under threshold {threshold}: {tiers}"
             )
 
-    def test_each_rung_holds_its_threshold(self):
+    def test_each_rung_holds_its_threshold(self, tier_clock):
         rng = random.Random(0x57E9C2)
         for _ in range(10):
             module, n_rows = _scan_module(rng)
             threshold = rng.randrange(1, 6)
-            _, tiers, _ = self._drive(module, n_rows, threshold)
-            # the promoting call re-dispatches through the freshly
-            # installed Liftoff wrapper and counts as its first call,
-            # so the middle rung is *visible* for threshold - 1 calls
-            assert tiers[:threshold] == ["stencil"] * threshold
-            assert tiers[threshold:2 * threshold - 1] == \
-                ["liftoff"] * (threshold - 1)
+            _, tiers, _ = self._drive(tier_clock, module, n_rows,
+                                      threshold)
+            # the call after the threshold-th enters through the meter
+            # on stencil code, promotes, and runs (and pays) on the
+            # Liftoff code it just bought; the time is handed on, so
+            # threshold calls later the same happens one rung up
+            assert tiers[:threshold + 1] == ["stencil"] * (threshold + 1)
+            assert tiers[threshold + 1:2 * threshold + 1] == \
+                ["liftoff"] * threshold
             assert all(t == "turbofan"
-                       for t in tiers[2 * threshold - 1:])
+                       for t in tiers[2 * threshold + 1:])
 
-    def test_results_survive_both_promotions(self):
+    def test_results_survive_both_promotions(self, tier_clock):
         rng = random.Random(0x57E9C3)
         for _ in range(10):
             module, n_rows = _scan_module(rng)
-            _, _, values = self._drive(module, n_rows,
-                                       rng.randrange(1, 6))
+            instance, _, values = self._drive(tier_clock, module, n_rows,
+                                              rng.randrange(1, 6))
+            assert instance.stats.tier_ups == 2
             assert len(set(values)) == 1, values
 
-    def test_both_rungs_are_traced(self):
+    def test_both_rungs_are_traced(self, tier_clock):
         from repro.observability import FakeClock, QueryTrace
 
         rng = random.Random(0x57E9C4)
         for _ in range(5):
             module, n_rows = _scan_module(rng)
             trace = QueryTrace(clock=FakeClock())
-            instance, _, _ = self._drive(module, n_rows, 2, trace=trace)
+            instance, _, _ = self._drive(tier_clock, module, n_rows, 2,
+                                         trace=trace)
             events = trace.find("tier_up")
             assert len(events) == instance.stats.tier_ups == 2
             assert events[0].attrs["from_tier"] == "stencil"
             assert events[0].attrs["to_tier"] == "liftoff"
             stats = instance.stats
-            assert stats.stencil_functions == 1
-            assert stats.turbofan_functions == 1
+            assert stats.functions["stencil"] == 1
+            assert stats.functions["turbofan"] == 1
             assert stats.tier_up_failures == 0
 
 

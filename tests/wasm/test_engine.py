@@ -32,35 +32,40 @@ class TestTiering:
         engine = Engine(EngineConfig(mode="turbofan"))
         instance = engine.instantiate(counter_module())
         assert instance.tier_of("bump") == "turbofan"
-        assert instance.stats.liftoff_functions == 0
+        assert instance.stats.functions["liftoff"] == 0
 
-    def test_adaptive_tiers_up_at_threshold(self):
-        engine = Engine(EngineConfig(mode="adaptive", tier_up_threshold=5))
+    def test_adaptive_tiers_up_at_threshold(self, tier_clock):
+        tier_clock.promote_after(turbofan=5)
+        engine = Engine(EngineConfig(mode="adaptive"))
         instance = engine.instantiate(counter_module())
-        for i in range(4):
+        for i in range(5):
             instance.invoke("bump")
         assert instance.tier_of("bump") == "liftoff"
         instance.invoke("bump")
         assert instance.tier_of("bump") == "turbofan"
         assert instance.stats.tier_ups == 1
 
-    def test_adaptive_preserves_state_across_tier_up(self):
+    def test_adaptive_preserves_state_across_tier_up(self, tier_clock):
         """The global counter keeps counting across the code swap —
         the paper's 'replace code during execution' requirement."""
-        engine = Engine(EngineConfig(mode="adaptive", tier_up_threshold=3))
+        tier_clock.promote_after(turbofan=3)
+        engine = Engine(EngineConfig(mode="adaptive"))
         instance = engine.instantiate(counter_module())
         values = [instance.invoke("bump") for _ in range(10)]
         assert values == list(range(1, 11))
+        assert instance.tier_of("bump") == "turbofan"
 
-    def test_compile_times_recorded(self):
-        engine = Engine(EngineConfig(mode="adaptive", tier_up_threshold=2))
+    def test_compile_times_recorded(self, tier_clock):
+        tier_clock.promote_after(turbofan=2)
+        engine = Engine(EngineConfig(mode="adaptive"))
         instance = engine.instantiate(counter_module())
-        assert instance.stats.liftoff_seconds > 0
-        instance.invoke("bump")
-        instance.invoke("bump")
-        assert instance.stats.turbofan_seconds > 0
+        seconds = instance.stats.seconds
+        assert seconds["liftoff"] > 0
+        for _ in range(3):
+            instance.invoke("bump")
+        assert seconds["turbofan"] > 0
         assert instance.stats.total_compile_seconds == pytest.approx(
-            instance.stats.liftoff_seconds + instance.stats.turbofan_seconds
+            seconds["liftoff"] + seconds["turbofan"]
         )
 
     def test_turbofan_compiles_slower_than_liftoff(self):

@@ -17,6 +17,7 @@ covers the machinery the corpus can't see):
 
 import pytest
 
+from repro.engines.wasm_engine import WasmEngine
 from repro.errors import StencilError, Trap
 from repro.wasm import ModuleBuilder
 from repro.wasm.module import Function
@@ -85,8 +86,8 @@ class TestAssembly:
         instance = _stencil_instance(_sum_module())
         assert instance.invoke("main", 10) == 45
         assert instance.tier_of("main") == "stencil"
-        assert instance.stats.stencil_functions == 1
-        assert instance.stats.stencil_fallbacks == 0
+        assert instance.stats.functions["stencil"] == 1
+        assert instance.stats.tier_up_failures == 0
 
     def test_memory_roundtrip_with_offset_immediates(self):
         instance = _stencil_instance(_memory_module(), memory_pages=1)
@@ -247,9 +248,9 @@ class TestFallback:
                                      fault_injector=injector)
         assert instance.invoke("main", 10) == 45
         assert instance.tier_of("main") == "liftoff"
-        assert instance.stats.stencil_fallbacks == 1
-        assert instance.stats.stencil_functions == 0
-        assert instance.stats.liftoff_functions == 1
+        assert instance.stats.tier_up_failures == 1
+        assert instance.stats.functions["stencil"] == 0
+        assert instance.stats.functions["liftoff"] == 1
 
     def test_instrumented_run_assembles_tier0(self):
         # profiling runs no longer decline to Liftoff: the bound
@@ -260,8 +261,8 @@ class TestFallback:
         engine = Engine(EngineConfig(mode="stencil"))
         instance = engine.instantiate(_sum_module(), profile=profile)
         assert instance.tier_of("main") == "stencil"
-        assert instance.stats.stencil_fallbacks == 0
-        assert instance.stats.stencil_functions == 1
+        assert instance.stats.tier_up_failures == 0
+        assert instance.stats.functions["stencil"] == 1
         assert instance.invoke("main", 10) == 45
         assert profile.instructions > 0
 
@@ -271,11 +272,14 @@ class TestFallback:
         trace = QueryTrace(clock=FakeClock())
         injector = FaultInjector.always("stencil.assemble")
         engine = Engine(EngineConfig(mode="stencil",
-                                     fault_injector=injector,
-                                     trace=trace))
-        engine.instantiate(_sum_module())
-        assert trace.find("stencil.fallback")
-        assert trace.find("compile.liftoff")
+                                     fault_injector=injector))
+        engine.instantiate(_sum_module(), trace=trace)
+        (failure,) = trace.find("tier_up.failure")
+        assert failure.attrs["to_tier"] == "stencil"
+        assert [e.attrs["site"] for e in trace.find("fault.injected")] \
+            == ["stencil.assemble"]
+        # the Liftoff compile it lands on happens inside the same span
+        assert trace.kinds()[:2] == ["validate", "compile.stencil"]
 
 
 class TestLadder:
@@ -283,14 +287,14 @@ class TestLadder:
         assert TIER_LADDERS["adaptive_stencil"] == \
             ("stencil", "liftoff", "turbofan")
         assert TIER_LADDERS["stencil"] == ("stencil",)
-        config = EngineConfig(mode="adaptive_stencil")
-        assert config.tier_ladder == ("stencil", "liftoff", "turbofan")
+        engine = WasmEngine(mode="adaptive_stencil")
+        assert engine.tier_ladder == ("stencil", "liftoff", "turbofan")
 
-    def test_tier_up_is_monotone_along_the_ladder(self):
+    def test_tier_up_is_monotone_along_the_ladder(self, tier_clock):
         """Repeated calls climb stencil -> liftoff -> turbofan and
         never move back down."""
-        engine = Engine(EngineConfig(mode="adaptive_stencil",
-                                     tier_up_threshold=3))
+        tier_clock.promote_after(liftoff=3, turbofan=6)
+        engine = Engine(EngineConfig(mode="adaptive_stencil"))
         instance = engine.instantiate(_sum_module())
         ladder = list(TIER_LADDERS["adaptive_stencil"])
         seen = []
@@ -304,14 +308,13 @@ class TestLadder:
         assert instance.tier_of("main") == "turbofan"
         assert instance.stats.tier_ups == 2
 
-    def test_tier_up_events_carry_the_rungs(self):
+    def test_tier_up_events_carry_the_rungs(self, tier_clock):
         from repro.observability.trace import FakeClock, QueryTrace
 
+        tier_clock.promote_after(liftoff=2, turbofan=4)
         trace = QueryTrace(clock=FakeClock())
-        engine = Engine(EngineConfig(mode="adaptive_stencil",
-                                     tier_up_threshold=2,
-                                     trace=trace))
-        instance = engine.instantiate(_sum_module())
+        engine = Engine(EngineConfig(mode="adaptive_stencil"))
+        instance = engine.instantiate(_sum_module(), trace=trace)
         for _ in range(8):
             instance.invoke("main", 4)
         events = trace.find("tier_up")
@@ -319,17 +322,20 @@ class TestLadder:
         assert events[0].attrs == {"function": 0, "name": "main",
                                    "from_tier": "stencil",
                                    "to_tier": "liftoff",
-                                   "calls": 2, "threshold": 2}
+                                   "spent_ms": 2000.0,
+                                   "estimated_compile_ms": 2000.0,
+                                   "elided": 0}
         assert events[1].attrs == {"function": 0, "name": "main",
                                    "from_tier": "liftoff",
                                    "to_tier": "turbofan",
-                                   "calls": 2, "threshold": 2,
+                                   "spent_ms": 4000.0,
+                                   "estimated_compile_ms": 4000.0,
                                    "elided": 0}
 
-    def test_failed_promotion_pins_the_stencil_tier(self):
+    def test_failed_promotion_pins_the_stencil_tier(self, tier_clock):
+        tier_clock.promote_after(liftoff=2, turbofan=4)
         injector = FaultInjector.always("liftoff.compile", max_fires=1)
         engine = Engine(EngineConfig(mode="adaptive_stencil",
-                                     tier_up_threshold=2,
                                      fault_injector=injector))
         instance = engine.instantiate(_sum_module())
         for _ in range(6):

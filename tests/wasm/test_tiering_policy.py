@@ -3,13 +3,15 @@
 A function is promoted when the wall time it has run covers the
 *estimated* compile time of a higher rung (instruction count x the
 process-wide measured seconds per instruction), at the next call
-boundary, straight to the highest rung already paid for.  An explicit
-integer ``tier_up_threshold`` makes the same meter count calls.
+boundary, straight to the highest rung already paid for.
 
 Every test replaces the engine module's one clock name and its
-process-wide rates, so decisions are exact and nothing leaks between
-tests.
+process-wide rates through the shared ``tier_clock`` fixture
+(``tests/conftest.py``), so decisions are exact and nothing leaks
+between tests.
 """
+
+import time
 
 import pytest
 
@@ -17,6 +19,8 @@ import repro.wasm.runtime.engine as engine_module
 from repro.db import Database
 from repro.engines.wasm_engine import QueryRun, WasmEngine
 from repro.observability import FakeClock, QueryTrace
+from repro.errors import CompilationError
+from repro.observability import get_registry
 from repro.robustness import FaultInjector
 from repro.server import QueryService
 from repro.sql.analyzer import analyze
@@ -24,49 +28,26 @@ from repro.sql.parser import parse
 from repro.wasm import ModuleBuilder
 from repro.wasm.runtime.engine import (
     SEED_COMPILE_RATES,
+    TIER_LADDERS,
+    TIERS,
     CompileRates,
     Engine,
     EngineConfig,
 )
 
+from tests.conftest import installed_tier_clock
 from tests.feedback.test_differential import QUERIES, canonical, populate
 
 
-class ManualClock:
+@pytest.fixture()
+def clock(tier_clock):
     """Time moves only when a test (or the ``burn`` import) says so."""
-
-    def __init__(self):
-        self.now = 0.0
-
-    def __call__(self) -> float:
-        return self.now
-
-
-class SteppingClock:
-    """Every reading is ``step`` later than the one before, so each
-    metered call that makes no metered calls itself takes one step."""
-
-    def __init__(self, step: float = 0.0):
-        self.now = 0.0
-        self.step = step
-
-    def __call__(self) -> float:
-        self.now += self.step
-        return self.now
+    return tier_clock
 
 
 @pytest.fixture()
-def rates(monkeypatch):
-    fresh = CompileRates()
-    monkeypatch.setattr(engine_module, "compile_rates", fresh)
-    return fresh
-
-
-@pytest.fixture()
-def clock(monkeypatch, rates):
-    manual = ManualClock()
-    monkeypatch.setattr(engine_module, "_clock", manual)
-    return manual
+def rates(tier_clock):
+    return tier_clock.rates
 
 
 def burn_module():
@@ -87,13 +68,13 @@ class Burner:
     """One instance of :func:`burn_module` whose calls cost ``cost``
     fake seconds each."""
 
-    def __init__(self, clock, mode="adaptive_stencil", **config):
+    def __init__(self, clock, mode="adaptive_stencil", trace=None, **config):
         self.clock = clock
         self.cost = 0.0
         module = burn_module()
         self.size = module.functions[0].instruction_count()
         self.instance = Engine(EngineConfig(mode=mode, **config)).instantiate(
-            module, imports={("env", "burn"): self._burn}
+            module, imports={("env", "burn"): self._burn}, trace=trace,
         )
 
     def _burn(self):
@@ -115,7 +96,7 @@ class TestCostMeter:
         # three calls leave 0.9 of the estimate on the meter
         assert burner.call(4) == "stencil"
         assert burner.instance.stats.tier_ups == 0
-        assert burner.instance.stats.liftoff_seconds == 0.0
+        assert burner.instance.stats.seconds["liftoff"] == 0.0
 
     def test_promotion_waits_for_the_next_call(self, clock):
         """The call that pays for a rung does not compile it: a function
@@ -125,7 +106,7 @@ class TestCostMeter:
         assert burner.call() == "stencil"
         assert burner.instance.stats.tier_ups == 0
         assert burner.call() == "liftoff"
-        assert burner.instance.stats.liftoff_functions == 1
+        assert burner.instance.stats.functions["liftoff"] == 1
 
     def test_one_expensive_call_skips_liftoff(self, clock):
         trace = QueryTrace(clock=FakeClock())
@@ -134,8 +115,8 @@ class TestCostMeter:
         burner.cost = 1.5 * turbofan
         assert burner.call(2) == "turbofan"
         stats = burner.instance.stats
-        assert stats.liftoff_functions == 0
-        assert stats.turbofan_functions == 1
+        assert stats.functions["liftoff"] == 0
+        assert stats.functions["turbofan"] == 1
         assert stats.tier_ups == 1
         (event,) = trace.find("tier_up")
         assert event.attrs["from_tier"] == "stencil"
@@ -198,32 +179,38 @@ class TestCostMeter:
 
 
 class TestCallMeter:
+    """Counting calls is the same meter under a clock that ticks once
+    per reading: ``tier_clock.promote_after`` is what every test that
+    needs a tier-up at a known call uses."""
+
     @pytest.mark.parametrize("threshold", [2, 5])
     def test_explicit_threshold_promotes_on_exactly_the_nth_call(
             self, clock, threshold):
-        burner = Burner(clock, tier_up_threshold=threshold)
-        burner.cost = 1e6  # time is not what this meter counts
-        assert burner.call(threshold - 1) == "stencil"
+        clock.promote_after(liftoff=threshold, turbofan=2 * threshold)
+        burner = Burner(clock)
+        assert burner.call(threshold) == "stencil"
         assert burner.call() == "liftoff"
-        # the promoting call is the first of the next rung's count
-        assert burner.call(threshold - 2) == "liftoff"
+        # the time (here: the calls) of the rungs below is handed on
+        assert burner.call(threshold - 1) == "liftoff"
         assert burner.call() == "turbofan"
         assert burner.instance.stats.tier_ups == 2
 
     def test_two_rung_ladder(self, clock):
-        burner = Burner(clock, mode="adaptive", tier_up_threshold=3)
-        assert burner.call(2) == "liftoff"
+        clock.promote_after(turbofan=3)
+        burner = Burner(clock, mode="adaptive")
+        assert burner.call(3) == "liftoff"
         assert burner.call() == "turbofan"
 
     def test_decision_attributes(self, clock):
+        clock.promote_after(turbofan=3)
         trace = QueryTrace(clock=FakeClock())
-        burner = Burner(clock, mode="adaptive", tier_up_threshold=3,
-                        trace=trace)
-        burner.call(3)
+        burner = Burner(clock, mode="adaptive", trace=trace)
+        burner.call(4)
         (event,) = trace.find("tier_up")
         assert event.attrs == {
             "function": 1, "name": "work", "from_tier": "liftoff",
-            "to_tier": "turbofan", "calls": 3, "threshold": 3, "elided": 0,
+            "to_tier": "turbofan", "spent_ms": 3000.0,
+            "estimated_compile_ms": 3000.0, "elided": 0,
         }
 
 
@@ -256,27 +243,29 @@ class TestCompileRates:
         dear.cost = cheap.cost
         assert dear.call(2) == "liftoff"
 
-    def test_every_real_compile_refreshes_the_mean(self, monkeypatch, rates):
-        monkeypatch.setattr(engine_module, "_clock", SteppingClock(1.0))
+    def test_every_real_compile_refreshes_the_mean(self, clock, rates):
+        clock.step = 1.0
         Engine(EngineConfig(mode="liftoff")).instantiate(burn_module(),
                                                          imports=_NO_BURN)
         assert rates.seconds_per_instruction("liftoff") > \
             SEED_COMPILE_RATES["liftoff"]
         assert rates.seconds_per_instruction("turbofan") == pytest.approx(
             SEED_COMPILE_RATES["turbofan"])
-        # a tier-up compile counts too
-        instance = Engine(EngineConfig(
-            mode="adaptive", tier_up_threshold=1,
-        )).instantiate(burn_module(), imports=_NO_BURN)
+        # a tier-up compile counts too: a one-second call pays for it
+        instance = Engine(EngineConfig(mode="adaptive")).instantiate(
+            burn_module(), imports=_NO_BURN)
         instance.invoke("work", 1)
+        instance.invoke("work", 1)
+        assert instance.tier_of("work") == "turbofan"
         assert rates.seconds_per_instruction("turbofan") > \
             SEED_COMPILE_RATES["turbofan"]
 
     def test_a_failed_compile_teaches_nothing(self, clock, rates):
-        burner = Burner(clock, mode="adaptive", tier_up_threshold=1,
+        burner = Burner(clock, mode="adaptive",
                         fault_injector=FaultInjector.always(
                             "turbofan.compile"))
-        burner.call()
+        burner.cost = 2 * burner.estimate("turbofan")
+        burner.call(2)
         assert burner.instance.stats.tier_up_failures == 1
         assert rates.seconds_per_instruction("turbofan") == pytest.approx(
             SEED_COMPILE_RATES["turbofan"])
@@ -301,7 +290,7 @@ class TestFailurePinning:
         stats = burner.instance.stats
         assert stats.tier_up_failures == 1
         assert injector.fired["turbofan.compile"] == 1
-        assert stats.liftoff_functions == 1
+        assert stats.functions["liftoff"] == 1
         assert self._unmetered(burner)
         (failure,) = trace.find("tier_up.failure")
         assert failure.attrs["from_tier"] == "stencil"
@@ -332,6 +321,111 @@ class TestFailurePinning:
         assert self._unmetered(burner)
 
 
+# -- the landing rule, from the tier table ------------------------------------
+
+_TIER_OF_SITE = {tier.fault_site: name for name, tier in TIERS.items()
+                 if tier.fault_site is not None}
+
+
+def _climb(mode: str, failing: str):
+    """What the tier table says becomes of a function that gets hot rung
+    by rung in ``mode`` while every compile for ``failing`` fails: the
+    tier it ends on (``None``: instantiation raises) and the
+    ``(from_tier, to_tier)`` of each failed compile, in order."""
+    failures = []
+
+    def compile_for(rung, current):
+        if rung != failing:
+            return rung
+        failures.append((current or "none", rung))
+        landing = TIERS[rung].lands_on
+        if landing in (None, current):
+            return current
+        return compile_for(landing, current)
+
+    tier = None
+    for rung in TIER_LADDERS[mode]:  # instantiation, then each promotion
+        tier = compile_for(rung, tier)
+        if failures:
+            break  # pinned: no meter, no further compile
+    return tier, failures
+
+
+@pytest.mark.parametrize("site", sorted(_TIER_OF_SITE))
+@pytest.mark.parametrize("mode", TIER_LADDERS)
+class TestLandingRule:
+    """One rule for a failed compile, whichever mode, fault site and
+    moment (instantiation or promotion) it happens at."""
+
+    def test_function_lands_where_the_table_says(self, clock, mode, site):
+        want_tier, want_failures = _climb(mode, _TIER_OF_SITE[site])
+        counter = get_registry().counter("engine_tier_up_failures_total")
+        before = {pair: counter.value(from_tier=pair[0], to_tier=pair[1])
+                  for pair in want_failures}
+        # one tick per call: Liftoff is paid for by two calls, TurboFan
+        # by four, so the function climbs rung by rung
+        clock.promote_after(liftoff=2, turbofan=4)
+        injector = FaultInjector.always(site)
+        trace = QueryTrace(clock=FakeClock())
+
+        if want_tier is None:
+            # nothing below the baseline: the fallback chain's to handle
+            with pytest.raises(CompilationError) as err:
+                Burner(clock, mode=mode, fault_injector=injector,
+                       trace=trace)
+            assert err.value.retryable
+        else:
+            burner = Burner(clock, mode=mode, fault_injector=injector,
+                            trace=trace)
+            assert burner.call(6) == want_tier
+            stats = burner.instance.stats
+            assert stats.tier_up_failures == len(want_failures)
+            # a later hot call compiles nothing: a pinned function (and
+            # one on the top rung) runs without a meter
+            compiled = dict(stats.functions)
+            assert burner.call(50) == want_tier
+            assert stats.functions == compiled
+            export = burner.instance.module.export_by_name("work")
+            metered = burner.instance.funcs[export.index].__name__ \
+                == "tiering"
+            assert metered == (not want_failures
+                               and want_tier != TIER_LADDERS[mode][-1])
+
+        # counter, events and metric tell the same story, with the same
+        # attributes at instantiation as at a promotion
+        assert injector.total_fired == len(want_failures)
+        events = trace.find("tier_up.failure")
+        assert [(e.attrs["from_tier"], e.attrs["to_tier"])
+                for e in events] == want_failures
+        for event in events:
+            assert set(event.attrs) == {
+                "function", "name", "from_tier", "to_tier", "spent_ms",
+                "estimated_compile_ms"}
+        for pair in want_failures:
+            assert counter.value(from_tier=pair[0], to_tier=pair[1]) \
+                == before[pair] + 1
+
+    def test_rows_equal_the_interpreter_oracle(self, clock, mode, site):
+        clock.promote_after(liftoff=1, turbofan=2)
+        db = Database(fallback="default")
+        db.execute("CREATE TABLE t (id INT PRIMARY KEY, x INT)")
+        db.table("t").append_rows([(i, i % 10) for i in range(64)])
+        db._engines["wasm"] = WasmEngine(
+            morsel_size=16, fault_injector=FaultInjector.always(site))
+        spec = f"wasm[{mode}]"
+        escapes = _climb(mode, _TIER_OF_SITE[site])[0] is None
+        for sql in ("SELECT id FROM t WHERE x < 5",
+                    "SELECT x, COUNT(*) FROM t GROUP BY x ORDER BY x"):
+            oracle = db.execute(sql, engine="wasm[interpreter]").rows
+            for _ in range(3):
+                result = db.execute(sql, engine=spec)
+                assert result.rows == oracle
+                assert result.degraded == escapes
+            if escapes:
+                with pytest.raises(CompilationError):
+                    db.execute(sql, engine=spec, fallback=None)
+
+
 # -- through the SQL engine ---------------------------------------------------
 
 def _scan_db() -> Database:
@@ -342,10 +436,7 @@ def _scan_db() -> Database:
 
 
 class TestCachedExecutables:
-    def test_meter_survives_reruns_and_instance_resets(self, monkeypatch,
-                                                       rates):
-        stepping = SteppingClock()
-        monkeypatch.setattr(engine_module, "_clock", stepping)
+    def test_meter_survives_reruns_and_instance_resets(self, clock, rates):
         db = _scan_db()
         stmt = parse("SELECT id FROM t WHERE x < 5")
         analyze(stmt, db.catalog)
@@ -356,8 +447,8 @@ class TestCachedExecutables:
             "pipeline_0")
         # 64 rows are one morsel: each execution is one pipeline call,
         # and one call is one step of the clock
-        stepping.step = 0.4 * rates.estimate("liftoff",
-                                             pipeline.instruction_count())
+        clock.step = 0.4 * rates.estimate("liftoff",
+                                          pipeline.instruction_count())
         tiers, rows, traces = [], [], []
         for _ in range(4):
             traces.append(QueryTrace(clock=FakeClock()))
@@ -382,26 +473,27 @@ class TestPolicyIsResultInvisible:
 
     @pytest.fixture(scope="class")
     def expected(self):
-        service = QueryService(default_engine="wasm[adaptive_stencil]")
-        service.db.engine("wasm").tier_up_threshold = 2
-        populate(service)
-        return [canonical(service.execute(sql)) for sql in QUERIES]
+        """Rows under a meter that promotes whatever is called twice."""
+        with installed_tier_clock() as clock:
+            clock.promote_after(liftoff=1, turbofan=2)
+            service = QueryService(default_engine="wasm[adaptive_stencil]")
+            populate(service)
+            return [canonical(service.execute(sql)) for sql in QUERIES]
 
     @pytest.mark.parametrize("spec", ["wasm[adaptive_stencil]",
                                       "wasm[adaptive]"])
     def test_default_meter_matches_threshold_two(self, spec, expected):
         service = QueryService(default_engine=spec)
-        assert service.db.engine("wasm").tier_up_threshold is None
+        assert engine_module._clock is time.perf_counter
         populate(service)
         for sql, want in zip(QUERIES, expected):
             for run in range(3):
                 assert canonical(service.execute(sql)) == want, (sql, run)
 
-    def test_a_meter_that_buys_everything_matches_too(self, monkeypatch,
-                                                      rates, expected):
+    def test_a_meter_that_buys_everything_matches_too(self, clock, expected):
         # every metered call "takes" a second, so whatever is called
         # twice is promoted, most of it straight past Liftoff
-        monkeypatch.setattr(engine_module, "_clock", SteppingClock(1.0))
+        clock.step = 1.0
         service = QueryService(default_engine="wasm[adaptive_stencil]")
         populate(service)
         for sql, want in zip(QUERIES, expected):
