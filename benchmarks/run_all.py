@@ -34,6 +34,7 @@ from benchmarks import (  # noqa: E402
     bench_ablation_tiering,
     bench_bounds_elision,
     bench_feedback,
+    bench_prefilter,
     bench_serving,
 )
 
@@ -49,6 +50,7 @@ SECTIONS = [
     ("Ablation: ad-hoc generation", bench_ablation_adhoc.main),
     ("Ablation: tiering & short-circuit", bench_ablation_tiering.main),
     ("Ablation: bounds-check elision", bench_bounds_elision.main),
+    ("Filtered-scan split: prefiltered vs scalar", bench_prefilter.main),
     ("Serving: plan cache & fair scheduler", bench_serving.main),
     ("Feedback: Q-Error re-optimization", bench_feedback.main),
 ]

@@ -17,6 +17,7 @@ the imported ``env.flush_results`` so the host can drain and reset it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 from repro.backend.context import (
     CompilerContext,
@@ -30,6 +31,7 @@ from repro.backend.sort import GeneratedSort
 from repro.errors import PlanError
 from repro.observability.trace import trace_span
 from repro.plan import physical as P
+from repro.plan import exprs as E
 from repro.plan.exprs import Aggregate, Slot, walk_lexpr
 from repro.plan.pipeline import Pipeline, dissect_into_pipelines
 from repro.sql import types as T
@@ -48,6 +50,48 @@ def _slot_indices(*exprs) -> set[int]:
             if isinstance(node, Slot):
                 used.add(node.index)
     return used
+
+
+def _conjuncts(expr):
+    if isinstance(expr, E.Logic) and expr.op == "AND":
+        yield from _conjuncts(expr.left)
+        yield from _conjuncts(expr.right)
+    else:
+        yield expr
+
+
+def _is_deferrable(conjunct) -> bool:
+    """Does ``conjunct`` compile to calls or branches (string compares,
+    ``LIKE``, ``EXTRACT``, ``CASE``) that are worth skipping for rows the
+    cheap conjuncts reject — and can it be skipped?  A conjunct that may
+    trap (integer ``/`` ``%``, float -> integer) is evaluated for every
+    row, as it always was: ``y <> 0 AND x / y > 4`` traps on Wasm."""
+    costly = False
+    for node in walk_lexpr(conjunct):
+        if isinstance(node, E.Arith):
+            if node.op in "/%" and node.ty.wasm_type != "f64":
+                return False
+        elif isinstance(node, E.Promote):
+            if (node.operand.ty.wasm_type == "f64"
+                    and node.ty.wasm_type != "f64"):
+                return False
+        elif isinstance(node, (E.Like, E.Extract, E.Case)) or (
+                isinstance(node, E.Compare) and node.left.ty.is_string):
+            costly = True
+    return costly
+
+
+def split_predicate(predicate):
+    """A filter predicate's top-level ``AND`` as ``(cheap, costly)``:
+    the conjuncts whose code is call-free and branch-free, and the ones
+    worth evaluating only for rows that pass those (see
+    :func:`_is_deferrable`); either is ``None`` when it would be empty."""
+    groups: tuple[list, list] = ([], [])
+    for conjunct in _conjuncts(predicate):
+        groups[_is_deferrable(conjunct)].append(conjunct)
+    return tuple(
+        reduce(lambda left, right: E.Logic("AND", left, right), group)
+        if group else None for group in groups)
 
 
 def pipeline_shape(pipe: Pipeline, memory) -> str:
@@ -144,7 +188,8 @@ class QueryCompiler:
         self.inline_adhoc = inline_adhoc
         self.predication = predication
         self.ctx = CompilerContext("query", memory,
-                                   short_circuit=short_circuit)
+                                   short_circuit=short_circuit,
+                                   inline_adhoc=inline_adhoc)
         # per-breaker generated structures
         self._hash_tables: dict[int, GeneratedHashTable] = {}
         self._ht_functions: dict[int, dict[str, int]] = {}
@@ -629,9 +674,20 @@ class QueryCompiler:
                     fb, expr_compiler, pipe.sink, slots, mask
                 )
                 return
-            expr_compiler.emit_boolean(op.predicate)
+            cheap, costly = split_predicate(op.predicate)
+            if cheap is None or costly is None or self.ctx.short_circuit:
+                cheap, costly = op.predicate, None
+            expr_compiler.emit_boolean(cheap)
             with fb.if_():
-                continue_with(slots)
+                if costly is None:
+                    continue_with(slots)
+                    return
+                # the call-bearing conjuncts only for rows the others
+                # keep: fewer helper calls on every tier, and a call-free
+                # loop prefix, which TurboFan's filtered-scan split needs
+                expr_compiler.emit_boolean(costly)
+                with fb.if_():
+                    continue_with(slots)
             return
         if isinstance(op, P.Project):
             new_slots = [

@@ -60,9 +60,10 @@ class CompilerContext:
     """Everything the per-operator code generators share."""
 
     def __init__(self, name: str, memory: MemoryPlan,
-                 short_circuit: bool = False):
+                 short_circuit: bool = False, inline_adhoc: bool = True):
         self.memory = memory
         self.short_circuit = short_circuit
+        self.inline_adhoc = inline_adhoc
         self.mb = ModuleBuilder(name)
 
         # host imports (declared before any defined function)

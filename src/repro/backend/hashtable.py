@@ -7,8 +7,10 @@ payload types of that operator — the paper's answer to type-agnostic
 pre-compiled libraries with their per-element callbacks:
 
 * key hashing is emitted inline (Fibonacci multiply for integers, FNV-1a
-  over the padded bytes for strings),
-* key equality is emitted inline (no comparison callback),
+  over the padded bytes for strings — unrolled at the call site for
+  ``CHAR(n)``, n <= 8, a looped helper for wider keys),
+* key equality is emitted inline (no comparison callback; string keys
+  of 1/2/4/8 bytes compare with one load each),
 * upsert / insert / probe are emitted INLINE at their pipeline call
   sites (``emit_upsert_inline`` / ``emit_insert_inline`` /
   ``emit_probe_loop``) — the whole point of Section 4.3; the
@@ -34,6 +36,14 @@ __all__ = ["GeneratedHashTable", "MIN_SENTINELS", "MAX_SENTINELS",
            "sentinel_for"]
 
 _GOLDEN64 = -0x61C8864680B583EB  # 0x9E3779B97F4A7C15 as signed i64
+_FNV_BASIS = -3750763034362895579
+_FNV_PRIME = 1099511628211
+#: String keys up to this width hash without a call (Section 4.3: "no
+#: per-access function call"): the helper's loop, unrolled.
+_INLINE_KEY_BYTES = 8
+#: ... and keys of these widths compare with a single load per side.
+_WORD_LOADS = {1: ("i32.load8_u", "i32"), 2: ("i32.load16_u", "i32"),
+               4: ("i32.load", "i32"), 8: ("i64.load", "i64")}
 
 # Sentinels initializing MIN/MAX aggregate fields.
 MIN_SENTINELS = {"i32": 2**31 - 1, "i64": 2**63 - 1, "f64": float("inf")}
@@ -126,7 +136,15 @@ class GeneratedHashTable:
         h = fb.local("i64", "h")
         fb.i64(_GOLDEN64).set(h)
         for ty, local in zip(self.key_types, key_locals):
-            if ty.is_string:
+            if (ty.is_string and ty.size <= _INLINE_KEY_BYTES
+                    and self.ctx.inline_adhoc):
+                # the helper's FNV-1a, byte for byte: same hash values,
+                # so bucket and output order do not depend on the choice
+                fb.i64(_FNV_BASIS)
+                for offset in range(ty.size):
+                    fb.get(local).emit("i64.load8_u", 0, offset)
+                    fb.emit("i64.xor").i64(_FNV_PRIME).emit("i64.mul")
+            elif ty.is_string:
                 fb.get(local)
                 fb.call(self._hash_bytes_helper(ty.size))
             else:
@@ -151,7 +169,7 @@ class GeneratedHashTable:
                                  params=[("i32", "addr")], results=["i64"])
             h = fb.local("i64", "h")
             i = fb.local("i32", "i")
-            fb.i64(-3750763034362895579).set(h)  # FNV offset basis
+            fb.i64(_FNV_BASIS).set(h)
             with fb.block() as done:
                 with fb.loop() as top:
                     fb.get(i).i32(width).emit("i32.ge_u")
@@ -161,7 +179,7 @@ class GeneratedHashTable:
                     fb.emit("i32.load8_u", 0, 0)
                     fb.emit("i64.extend_i32_u")
                     fb.emit("i64.xor")
-                    fb.i64(1099511628211).emit("i64.mul").set(h)
+                    fb.i64(_FNV_PRIME).emit("i64.mul").set(h)
                     fb.get(i).i32(1).emit("i32.add").set(i)
                     fb.br(top)
             fb.get(h)
@@ -178,7 +196,13 @@ class GeneratedHashTable:
         first = True
         for i, ty in enumerate(self.key_types):
             field = self.layout.field(f"k{i}")
-            if ty.is_string:
+            if (ty.is_string and ty.size in _WORD_LOADS
+                    and self.ctx.inline_adhoc):
+                load_op, word = _WORD_LOADS[ty.size]
+                fb.get(entry_local).emit(load_op, 0, field.offset)
+                fb.get(key_locals[i]).emit(load_op, 0, 0)
+                fb.emit(f"{word}.eq")
+            elif ty.is_string:
                 fb.get(entry_local).i32(field.offset).emit("i32.add")
                 fb.get(key_locals[i])
                 fb.call(expr_compiler._streq_helper(ty.size, ty.size))

@@ -240,7 +240,9 @@ class WasmEngine(QueryEngine):
         """Rewire everything the query needs into one 32-bit space."""
         space = AddressSpace()
         space.governor = governor  # every page reservation is budgeted
-        consts_base = space.alloc("consts", CONST_REGION_SIZE)
+        # constants and $n slots are the host's to write, not the module's
+        consts_base = space.alloc("consts", CONST_REGION_SIZE,
+                                  writable=False)
 
         column_addresses: dict[tuple[str, str], int] = {}
         row_counts: dict[str, int] = {}
@@ -507,6 +509,13 @@ class WasmEngine(QueryEngine):
                 stencil_cache_hits=stats.stencil_cache_hits,
                 stencil_cache_misses=stats.stencil_cache_misses,
             )
+        # likewise the filtered-scan split: only where TurboFan made one
+        if stats.loops_prefiltered:
+            tier_attrs.update(
+                loops_prefiltered=stats.loops_prefiltered,
+                prefilter_rows_seen=stats.prefilter_rows_seen,
+                prefilter_rows_kept=stats.prefilter_rows_kept,
+            )
         trace_event(trace, "tier_stats", tier_ups=stats.tier_ups,
                     tier_up_failures=stats.tier_up_failures,
                     bounds_checks_elided=stats.bounds_checks_elided,
@@ -564,6 +573,9 @@ class WasmEngine(QueryEngine):
         """
         instance = executable.instance
         instance.reset_mutable_state()
+        # what the prefilter drivers did is per run; what was compiled stays
+        instance.stats.prefilter_rows_seen = 0
+        instance.stats.prefilter_rows_kept = 0
         extent = executable.space._next_page * WASM_PAGE_SIZE
         self._write_global(instance, "heap_end", extent)
         for seg in instance.module.data:

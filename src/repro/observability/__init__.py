@@ -33,6 +33,8 @@ Trace event taxonomy (the kinds producers emit):
 ``morsel``                  one morsel invocation (``pipeline``, ``morsel``,
                             ``begin``, ``end``, ``tier`` that ran it)
 ``tier_up``                 adaptive recompilation patched in optimized code
+                            (``elided`` bounds checks, ``prefiltered`` loops
+                            of the function that moved)
 ``tier_up.failure``         a tier's compile failed (at instantiation or at a
                             promotion); the function is pinned to the rung
                             the tier table says it lands on
@@ -41,7 +43,10 @@ Trace event taxonomy (the kinds producers emit):
 ``governor.check``          a budget check ran (only when budgets are set)
 ``governor.exhausted``      ... and aborted the query
 ``fault.injected``          a seeded fault fired (``site`` attr)
-``tier_stats``              end-of-query tier accounting snapshot
+``tier_stats``              end-of-query tier accounting snapshot; where
+                            TurboFan split a filtered-scan loop also
+                            ``loops_prefiltered`` and this run's
+                            ``prefilter_rows_seen``/``prefilter_rows_kept``
 ==========================  =================================================
 """
 

@@ -197,6 +197,12 @@ def render_explain_analyze(plan, trace, stats: list[PipelineStats],
                 f"stencil-cache={attrs['stencil_cache_hits']} hit(s)"
                 f"/{attrs.get('stencil_cache_misses', 0)} miss(es)"
             )
+        if "loops_prefiltered" in attrs:
+            parts.append(
+                f"prefiltered={attrs['loops_prefiltered']} loop(s) "
+                f"kept {attrs['prefilter_rows_kept']}"
+                f"/{attrs['prefilter_rows_seen']} row(s)"
+            )
         lines.append("tiers: " + " ".join(parts))
         lines.extend(_tier_up_lines(trace))
 

@@ -42,6 +42,11 @@ class Mapping:
     name: str
     address: int
     length: int  # bytes of backing buffer actually mapped
+    #: May the *module* store into this region?  When not, the page
+    #: table holds a read-only view of the buffer, so a store traps on
+    #: every tier — and a reader may rely on the bytes staying put for
+    #: as long as the page-table entry does.
+    writable: bool = False
 
     @property
     def npages(self) -> int:
@@ -77,6 +82,10 @@ class AddressSpace:
             raise RewiringError(f"max_pages must be in 1..{MAX_PAGES}")
         self.max_pages = max_pages
         self.pages: list[tuple[object, int] | None] = [None] * max_pages
+        #: The host's own entries for pages it may write although the
+        #: module may not (``alloc(..., writable=False)``): page ->
+        #: ``(writable view, base)``, consulted by ``write(host=True)``.
+        self.host_pages: dict[int, tuple[object, int]] = {}
         self._next_page = first_page
         self.mappings: dict[str, Mapping] = {}
 
@@ -99,18 +108,29 @@ class AddressSpace:
         self._next_page += npages
         return start
 
+    @staticmethod
+    def _byte_view(buffer, writable: bool) -> memoryview:
+        """``buffer`` as a flat byte view — read-only unless the module
+        may store into the mapping."""
+        view = memoryview(buffer)
+        if view.ndim != 1 or view.itemsize != 1:
+            view = view.cast("B")
+        return view if writable else view.toreadonly()
+
     def map_buffer(self, name: str, buffer, writable: bool = False) -> int:
         """Map ``buffer`` at the next free page-aligned address; return it.
 
         The buffer is aliased, not copied — the essence of rewiring.  The
         last page may be partially backed; accesses past the end of the
-        buffer trap, mirroring an access past the high-water mark.
+        buffer trap, mirroring an access past the high-water mark.  So
+        does a module store into a mapping that is not ``writable``: the
+        page table then holds a read-only view (table columns and index
+        permutations are mapped this way — generated code can never
+        corrupt a base table in place).
         """
         if name in self.mappings:
             raise RewiringError(f"mapping {name!r} already exists")
-        view = memoryview(buffer)
-        if view.ndim != 1 or view.itemsize != 1:
-            view = view.cast("B")
+        view = self._byte_view(buffer, writable)
         if writable and view.readonly:
             raise RewiringError(f"mapping {name!r}: buffer is read-only")
         length = view.nbytes
@@ -119,14 +139,17 @@ class AddressSpace:
         for p in range(npages):
             self.pages[start + p] = (view, p * WASM_PAGE_SIZE)
         addr = start * WASM_PAGE_SIZE
-        self.mappings[name] = Mapping(name, addr, length)
+        self.mappings[name] = Mapping(name, addr, length, writable)
         return addr
 
-    def alloc(self, name: str, nbytes: int) -> int:
-        """Allocate fresh zeroed, module-owned memory and map it.
+    def alloc(self, name: str, nbytes: int, writable: bool = True) -> int:
+        """Allocate fresh zeroed memory and map it.
 
         Used for scratch space the generated code owns: hash tables, sort
-        buffers, and the result-set window of Figure 5.
+        buffers, and the result-set window of Figure 5.  With
+        ``writable=False`` the region is the *host's* to fill (constants,
+        parameter slots): the module sees it read-only, the host writes
+        it through :meth:`write` with ``host=True``.
         """
         if nbytes <= 0:
             raise RewiringError(f"allocation size must be positive, got {nbytes}")
@@ -141,7 +164,11 @@ class AddressSpace:
         if self.governor is not None:
             self.governor.ensure_pages(npages)
         buf = bytearray(npages * WASM_PAGE_SIZE)
-        addr = self.map_buffer(name, buf, writable=True)
+        addr = self.map_buffer(name, buf, writable)
+        if not writable:
+            view = memoryview(buf)
+            for p in range(npages):
+                self.host_pages[(addr >> 16) + p] = (view, p * WASM_PAGE_SIZE)
         return addr
 
     def remap(self, name: str, buffer) -> int:
@@ -156,9 +183,7 @@ class AddressSpace:
             mapping = self.mappings[name]
         except KeyError:
             raise RewiringError(f"unknown mapping {name!r}") from None
-        view = memoryview(buffer)
-        if view.ndim != 1 or view.itemsize != 1:
-            view = view.cast("B")
+        view = self._byte_view(buffer, mapping.writable)
         if view.nbytes > mapping.npages * WASM_PAGE_SIZE:
             raise RewiringError(
                 f"remap {name!r}: buffer of {view.nbytes} bytes exceeds the "
@@ -183,6 +208,7 @@ class AddressSpace:
         start = mapping.address >> 16
         for p in range(mapping.npages):
             self.pages[start + p] = None
+            self.host_pages.pop(start + p, None)
 
     def address_of(self, name: str) -> int:
         try:
@@ -210,12 +236,17 @@ class AddressSpace:
             size -= take
         return bytes(out)
 
-    def write(self, addr: int, data: bytes) -> None:
-        """Write ``data`` at ``addr`` (may span pages of one buffer)."""
+    def write(self, addr: int, data: bytes, host: bool = False) -> None:
+        """Write ``data`` at ``addr`` (may span pages of one buffer).
+
+        ``host=True`` is the host's own path (data segments, parameter
+        binding): it also reaches the regions allocated read-only *to
+        the module*, through the writable view their mapping kept."""
         pos = 0
         size = len(data)
         while pos < size:
-            entry = self.pages[addr >> 16]
+            entry = (host and self.host_pages.get(addr >> 16)) \
+                or self.pages[addr >> 16]
             if entry is None:
                 raise RewiringError(f"write to unmapped address {addr:#x}")
             buf, base = entry

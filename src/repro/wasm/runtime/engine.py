@@ -150,6 +150,7 @@ def _turbofan(config, instance):
         compiled = compiler.compile(func, func_index,
                                     instance.profile is not None)
         instance.stats.bounds_checks_elided += compiled.bounds_checks_elided
+        instance.stats.loops_prefiltered += compiled.prefilter is not None
         return compiled.bind(instance, instance.profile)
     return compile_one
 
@@ -308,6 +309,14 @@ class TierStats:
     #: Per-access bounds checks TurboFan statically proved away using the
     #: interval analysis (summed over its compiled functions).
     bounds_checks_elided: int = 0
+    #: Filtered-scan loops TurboFan split into a NumPy selection mask
+    #: plus the scalar loop over the survivors
+    #: (:mod:`repro.wasm.runtime.prefilter`), over its compiled functions.
+    loops_prefiltered: int = 0
+    #: What those loops' drivers did in the current run: rows their masks
+    #: were evaluated over, and rows then handed to the scalar code.
+    prefilter_rows_seen: int = 0
+    prefilter_rows_kept: int = 0
     #: Whether this instance's module shape was served from the
     #: process-wide stencil cache.
     stencil_cache_hits: int = 0
@@ -533,6 +542,7 @@ class Engine:
         injector = self.config.fault_injector
         from_tier = current.tier if current is not None else "none"
         elided = stats.bounds_checks_elided
+        prefiltered = stats.loops_prefiltered
         failure = None
         start = _clock()
         try:
@@ -581,7 +591,8 @@ class Engine:
             trace_event(trace, "tier_up", function=func_index,
                         name=func.name, from_tier=from_tier,
                         to_tier=tier.name, **_decision(spent, cost),
-                        elided=stats.bounds_checks_elided - elided)
+                        elided=stats.bounds_checks_elided - elided,
+                        prefiltered=stats.loops_prefiltered - prefiltered)
             get_registry().counter(
                 "engine_tier_ups_total",
                 "Functions promoted to a higher tier",

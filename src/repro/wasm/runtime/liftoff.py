@@ -55,12 +55,19 @@ class CompiledFunction:
     #: Memory accesses whose bounds check the compiler proved away
     #: (always 0 for Liftoff, which never runs the range analysis).
     bounds_checks_elided: int = 0
+    #: TurboFan's split of the function's filtered-scan loop (a
+    #: :class:`~repro.wasm.runtime.prefilter.PrefilterPlan`), if it is one.
+    prefilter: object = None
 
     def bind(self, instance, profile=None):
-        """Instantiate the code against one instance; returns a callable."""
+        """Instantiate the code against one instance; returns a callable
+        (for a prefiltered loop, the driver around it: the plain callable
+        is its ``.scalar``)."""
         namespace = make_namespace(instance, profile)
         exec(self.code, namespace)
         fn = namespace[self.entry]
+        if self.prefilter is not None:
+            fn = self.prefilter.bind(fn, instance)
         fn.tier = self.tier
         fn.compiled = self
         return fn

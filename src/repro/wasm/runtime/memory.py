@@ -137,7 +137,9 @@ class LinearMemory:
             raise Trap("out of bounds memory access", f"read at {addr:#x}") from None
 
     def write_bytes(self, addr: int, data: bytes) -> None:
+        """The host's write path: unlike a module :meth:`store` it may
+        fill regions the module sees read-only (constants, parameters)."""
         try:
-            self.space.write(addr & 0xFFFFFFFF, data)
+            self.space.write(addr & 0xFFFFFFFF, data, host=True)
         except Exception:
             raise Trap("out of bounds memory access", f"write at {addr:#x}") from None

@@ -22,6 +22,8 @@ __all__ = [
     "LOAD_FMT",
     "STORE_FMT",
     "RING_OPS_32",
+    "TRAPPING_OPS",
+    "assigned_locals",
     "make_namespace",
 ]
 
@@ -189,6 +191,33 @@ RING_OPS_32 = frozenset({
 RING_OPS_64 = frozenset({
     "i64.add", "i64.sub", "i64.mul", "i64.and", "i64.or", "i64.xor", "i64.shl",
 })
+
+
+# Operators that may trap at runtime: their evaluation is an *effect* and
+# must not be delayed, reordered past control flow, dead-code-eliminated
+# or skipped.
+TRAPPING_OPS = frozenset({
+    "i32.div_s", "i32.div_u", "i32.rem_s", "i32.rem_u",
+    "i64.div_s", "i64.div_u", "i64.rem_s", "i64.rem_u",
+    "i32.trunc_f32_s", "i32.trunc_f32_u", "i32.trunc_f64_s", "i32.trunc_f64_u",
+    "i64.trunc_f32_s", "i64.trunc_f32_u", "i64.trunc_f64_s", "i64.trunc_f64_u",
+})
+
+
+def assigned_locals(body: list, acc: set | None = None) -> frozenset:
+    """All locals written anywhere in ``body`` (recursively)."""
+    if acc is None:
+        acc = set()
+    for instr in body:
+        op = instr[0]
+        if op == "local.set" or op == "local.tee":
+            acc.add(instr[1])
+        elif op == "block" or op == "loop":
+            assigned_locals(instr[2], acc)
+        elif op == "if":
+            assigned_locals(instr[2], acc)
+            assigned_locals(instr[3], acc)
+    return frozenset(acc)
 
 
 def _safe_sqrt(x: float) -> float:

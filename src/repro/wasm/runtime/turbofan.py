@@ -21,6 +21,10 @@ considerably faster code than Liftoff.  The pipeline:
    only genuinely multi-level branches pay for the pending-depth cascade.
 5. **Dead code elimination** — unused pure temporaries are deleted
    (fixpoint over the emitted statements).
+6. **Filtered-scan split** — a function that is exactly the generated
+   ``scan -> filter -> ...`` loop gets a NumPy selection mask in front
+   of its (unchanged) code, which then runs only the surviving rows
+   (:mod:`repro.wasm.runtime.prefilter`).
 
 The emitted source is compiled with ``compile()``; binding happens per
 instance, exactly like the Liftoff tier.
@@ -37,12 +41,15 @@ from repro.wasm.runtime import values as V
 from repro.wasm.runtime.interpreter import _BINOPS as _FOLD_BIN
 from repro.wasm.runtime.interpreter import _UNOPS as _FOLD_UN
 from repro.wasm.runtime.liftoff import CompiledFunction, _Emitter
+from repro.wasm.runtime.prefilter import plan_prefilter
 from repro.wasm.runtime.pycodegen import (
     LOAD_FMT,
     RING_OPS_32,
     SIMPLE_BINOPS,
     SIMPLE_UNOPS,
     STORE_FMT,
+    TRAPPING_OPS,
+    assigned_locals,
 )
 from repro.wasm.runtime.pycodegen import RING_OPS_64
 
@@ -50,15 +57,6 @@ __all__ = ["TurboFanCompiler"]
 
 _NO_CONST = object()
 _MAX_EXPR_LEN = 240  # spill huge expressions to keep lines/evaluation sane
-
-# Operators that may trap at runtime: their evaluation is an *effect* and
-# must not be delayed, reordered past control flow, or dead-code-eliminated.
-_TRAPPING_OPS = frozenset({
-    "i32.div_s", "i32.div_u", "i32.rem_s", "i32.rem_u",
-    "i64.div_s", "i64.div_u", "i64.rem_s", "i64.rem_u",
-    "i32.trunc_f32_s", "i32.trunc_f32_u", "i32.trunc_f64_s", "i32.trunc_f64_u",
-    "i64.trunc_f32_s", "i64.trunc_f32_u", "i64.trunc_f64_s", "i64.trunc_f64_u",
-})
 
 _RING_PYOP = {
     "i32.add": "+", "i32.sub": "-", "i32.mul": "*",
@@ -127,22 +125,6 @@ class _Scope:
         self.assigned_locals = assigned_locals
 
 
-def _assigned_locals(body: list, acc: set | None = None) -> frozenset:
-    """All locals written anywhere in ``body`` (recursively)."""
-    if acc is None:
-        acc = set()
-    for instr in body:
-        op = instr[0]
-        if op == "local.set" or op == "local.tee":
-            acc.add(instr[1])
-        elif op == "block" or op == "loop":
-            _assigned_locals(instr[2], acc)
-        elif op == "if":
-            _assigned_locals(instr[2], acc)
-            _assigned_locals(instr[3], acc)
-    return frozenset(acc)
-
-
 class TurboFanCompiler:
     """Optimizing compiler for functions of one module."""
 
@@ -206,7 +188,7 @@ class TurboFanCompiler:
         body_start = len(em.lines)
 
         stack: list[_Val] = []
-        scopes = [_Scope("func", [], _assigned_locals(func.body))]
+        scopes = [_Scope("func", [], assigned_locals(func.body))]
         fell_through = self._compile_body(func.body, stack, scopes)
         if fell_through:
             self._flush()
@@ -246,8 +228,13 @@ class TurboFanCompiler:
                 "wasm_bounds_checks_elided_total",
                 "Per-access bounds checks proved away by TurboFan",
             ).inc(self._elided)
+        # instrumented code counts every row's instructions into the
+        # profile: its loop is never split
+        prefilter = None if instrumented else plan_prefilter(self.module,
+                                                             func)
         return CompiledFunction(name, self.tier_name, source, entry, code,
-                                bounds_checks_elided=self._elided)
+                                bounds_checks_elided=self._elided,
+                                prefilter=prefilter)
 
     # -------------------------------------------------------- emission helpers --
 
@@ -463,7 +450,7 @@ class TurboFanCompiler:
                 b = stack.pop()
                 a = stack.pop()
                 result = self._binop(op, a, b)
-                if op in _TRAPPING_OPS and not result.is_const:
+                if op in TRAPPING_OPS and not result.is_const:
                     # traps must fire at the instruction's position, even
                     # if the value is later discarded — evaluate eagerly
                     # into a temp that DCE will not touch
@@ -472,7 +459,7 @@ class TurboFanCompiler:
             elif op in SIMPLE_UNOPS or op == "i32.eqz" or op == "i64.eqz":
                 a = stack.pop()
                 result = self._unop(op, a)
-                if op in _TRAPPING_OPS and not result.is_const:
+                if op in TRAPPING_OPS and not result.is_const:
                     result = self._materialize_effect(result)
                 self._push(stack, result)
             elif op in LOAD_FMT:
@@ -661,10 +648,10 @@ class TurboFanCompiler:
         at_top = scopes[-1].kind == "func"
         if kind == "if":
             cond = stack.pop()
-            assigned = _assigned_locals(instr[2]) | _assigned_locals(instr[3])
+            assigned = assigned_locals(instr[2]) | assigned_locals(instr[3])
         else:
             cond = None
-            assigned = _assigned_locals(instr[2])
+            assigned = assigned_locals(instr[2])
         # values that survive the region must not see its local writes
         self._spill(stack, lambda v: bool(v.locals_read & assigned))
         self._flush()

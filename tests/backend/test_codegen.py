@@ -3,6 +3,7 @@
 import pytest
 
 from repro.backend.layout import TupleLayout
+from repro.db import Database
 from repro.engines.base import Timings
 from repro.engines.wasm_engine import WasmEngine
 from repro.sql import types as T
@@ -97,12 +98,30 @@ class TestGeneratedModule:
         )
         wat = module_to_wat(compiled.module)
         assert "_grow" in wat           # growth + rehash stays a function
-        assert "hash_bytes_8" in wat    # specialized string hashing
         assert "_upsert" not in wat     # ...but the upsert is inline
+        # a CHAR(8) key hashes and compares without a call either
+        assert "hash_bytes_8" not in wat
+        assert "streq_8_8" not in wat
         # the pipeline body itself walks the chain and mixes the hash
         pipeline = wat[wat.index("$pipeline_0"):wat.index("$pipeline_1")]
         assert "i64.rotl" in pipeline   # inline hash mixing
         assert "i32.load offset=4" in pipeline  # inline stored-hash check
+        assert "i64.load8_u offset=7" in pipeline   # FNV-1a, unrolled
+        assert "i64.load\n" in pipeline    # the key compare: one load a side
+
+    def test_wide_string_keys_keep_their_generated_helpers(self):
+        """Keys wider than a word hash through the looped, specialized
+        helper (one per width per query) and compare through streq."""
+        wide = Database(default_engine="volcano")
+        wide.execute("CREATE TABLE w (id INT PRIMARY KEY, name CHAR(12))")
+        wide.execute("INSERT INTO w VALUES (1, 'a'), (2, 'b'), (3, 'a')")
+        sql = "SELECT name, COUNT(*) FROM w GROUP BY name"
+        compiled, _ = compiled_for(wide, sql)
+        wat = module_to_wat(compiled.module)
+        assert "hash_bytes_12" in wat    # specialized string hashing
+        assert "streq_12_12" in wat
+        assert sorted(wide.execute(sql, engine="wasm").rows) == \
+            sorted(wide.execute(sql, engine="volcano").rows)
 
     def test_callback_ablation_mode_generates_functions(self, db):
         """inline_adhoc=False restores the library-call discipline the

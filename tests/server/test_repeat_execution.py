@@ -88,8 +88,12 @@ class TestRepeatedExecution:
             assert rows == by_arg[arg]
         assert by_arg[10] != by_arg[30]
 
-    def test_warm_run_has_no_compile_spans(self, service):
+    def test_warm_run_has_no_compile_spans(self, service, tier_clock):
         sql = "SELECT grp, SUM(x) FROM r GROUP BY grp"
+        # tier-ups are wall-clock decisions: on the real clock one can
+        # land in the traced run.  Counted instead, every function this
+        # query calls is on its top rung by its third call.
+        tier_clock.promote_after(liftoff=1, turbofan=2)
         # cold + enough warm runs for adaptive tier state to settle
         for _ in range(3):
             service.execute(sql)

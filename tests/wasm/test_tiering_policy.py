@@ -211,6 +211,7 @@ class TestCallMeter:
             "function": 1, "name": "work", "from_tier": "liftoff",
             "to_tier": "turbofan", "spent_ms": 3000.0,
             "estimated_compile_ms": 3000.0, "elided": 0,
+            "prefiltered": 0,
         }
 
 
