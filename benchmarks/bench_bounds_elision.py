@@ -47,9 +47,9 @@ def _run(db, sql, elide: bool, repeats: int = 3):
     best = float("inf")
     for _ in range(repeats):
         start = time.perf_counter()
-        db.execute(sql, engine="wasm")
+        result = db.execute(sql, engine="wasm")
         best = min(best, time.perf_counter() - start)
-    elided = engine.last_tier_stats.bounds_checks_elided
+    elided = result.run.tier_stats.bounds_checks_elided
     engine.elide_bounds_checks = True
     return best * 1000.0, elided
 
@@ -80,8 +80,8 @@ def test_selection_elision_on(benchmark, benchmark_rows):
     engine = db.engine("wasm")
     engine.mode = "turbofan"
     sql = "SELECT COUNT(*) FROM t WHERE x < 0"
-    benchmark(lambda: db.execute(sql, engine="wasm"))
-    assert engine.last_tier_stats.bounds_checks_elided > 0
+    result = benchmark(lambda: db.execute(sql, engine="wasm"))
+    assert result.run.tier_stats.bounds_checks_elided > 0
 
 
 def test_selection_elision_off(benchmark, benchmark_rows):
@@ -90,8 +90,8 @@ def test_selection_elision_off(benchmark, benchmark_rows):
     engine.mode = "turbofan"
     engine.elide_bounds_checks = False
     sql = "SELECT COUNT(*) FROM t WHERE x < 0"
-    benchmark(lambda: db.execute(sql, engine="wasm"))
-    assert engine.last_tier_stats.bounds_checks_elided == 0
+    result = benchmark(lambda: db.execute(sql, engine="wasm"))
+    assert result.run.tier_stats.bounds_checks_elided == 0
 
 
 def test_elision_does_not_change_results(benchmark_rows):
@@ -99,8 +99,9 @@ def test_elision_does_not_change_results(benchmark_rows):
     sql = "SELECT COUNT(*) FROM t WHERE x2 < 0"
     engine = db.engine("wasm")
     engine.mode = "turbofan"
-    on = db.execute(sql, engine="wasm").rows
-    assert engine.last_tier_stats.bounds_checks_elided > 0
+    result = db.execute(sql, engine="wasm")
+    assert result.run.tier_stats.bounds_checks_elided > 0
+    on = result.rows
     engine.elide_bounds_checks = False
     off = db.execute(sql, engine="wasm").rows
     volcano = db.execute(sql, engine="volcano").rows

@@ -25,7 +25,7 @@ from repro.backend.context import (
     RESULT_REGION_SIZE,
 )
 from repro.backend.expr import ExprCompiler, SlotValue
-from repro.backend.hashtable import GeneratedHashTable, sentinel_for
+from repro.backend.hashtable import GeneratedHashTable
 from repro.backend.layout import TupleLayout
 from repro.backend.sort import GeneratedSort
 from repro.errors import PlanError
@@ -576,25 +576,31 @@ class QueryCompiler:
     def _load_aggregate_output(self, fb: FunctionBuilder,
                                layout: TupleLayout, entry: int, i: int,
                                agg: Aggregate) -> SlotValue:
-        if agg.kind == "AVG":
-            local = fb.local("f64", f"agg{i}")
-            sum_field = layout.field(f"a{i}_sum")
-            cnt_field = layout.field(f"a{i}_cnt")
-            fb.get(entry).emit(sum_field.load_op, 0, sum_field.offset)
-            fb.get(entry).emit(cnt_field.load_op, 0, cnt_field.offset)
+        row = agg.row
+        if not row.mean:
+            fld = layout.field(f"a{i}")
+            local = fb.local(agg.ty.wasm_type, f"agg{i}")
+            fb.get(entry).emit(fld.load_op, 0, fld.offset).set(local)
+            return SlotValue(local, agg.ty)
+        # float(sum) / count / 10**scale; an empty input (count 0)
+        # yields 0.0 in every engine, not NaN
+        local = fb.local("f64", f"agg{i}")
+        sum_field, cnt_field = (layout.field(f"a{i}{f.suffix}")
+                                for f in row.fields)
+        fb.get(entry).emit(sum_field.load_op, 0, sum_field.offset)
+        if sum_field.ty.wasm_type == "i64":
             fb.emit("f64.convert_i64_s")
-            fb.emit("f64.div")
-            # empty input (count 0) yields 0.0 in every engine, not NaN
-            fb.f64(0.0)
-            fb.get(entry).emit(cnt_field.load_op, 0, cnt_field.offset)
-            fb.emit("i64.eqz").emit("i32.eqz")
-            fb.emit("select")
-            fb.set(local)
-            return SlotValue(local, T.DOUBLE)
-        fld = layout.field(f"a{i}")
-        local = fb.local(agg.ty.wasm_type, f"agg{i}")
-        fb.get(entry).emit(fld.load_op, 0, fld.offset).set(local)
-        return SlotValue(local, agg.ty)
+        fb.get(entry).emit(cnt_field.load_op, 0, cnt_field.offset)
+        fb.emit("f64.convert_i64_s")
+        fb.emit("f64.div")
+        if agg.scale:
+            fb.f64(float(10**agg.scale)).emit("f64.div")
+        fb.f64(0.0)
+        fb.get(entry).emit(cnt_field.load_op, 0, cnt_field.offset)
+        fb.emit("i64.eqz").emit("i32.eqz")
+        fb.emit("select")
+        fb.set(local)
+        return SlotValue(local, T.DOUBLE)
 
     def _emit_scalar_read(self, fb: FunctionBuilder, op: P.ScalarAggregate,
                           body) -> None:
@@ -908,74 +914,14 @@ class QueryCompiler:
     def _emit_predicated_scalar_sink(self, fb, expr_compiler,
                                      sink: P.ScalarAggregate, slots,
                                      mask: int) -> None:
-        """Aggregate updates with the selection folded in as data flow:
-        COUNT += mask; SUM += value * mask; MIN/MAX via select on mask.
-        No conditional branch exists in the generated code."""
+        """Aggregate updates with the selection folded in as data flow
+        (see :meth:`_emit_aggregate_updates`): no conditional branch
+        exists in the generated code."""
         g_state, layout, _ = self._scalar_states[id(sink)]
         state = fb.local("i32", "state")
         fb.emit("global.get", g_state).set(state)
-        expr_compiler.slots = slots
-        for i, agg in enumerate(sink.aggregates):
-            if agg.kind == "COUNT":
-                fld = layout.field(f"a{i}")
-                fb.get(state)
-                fb.get(state).emit(fld.load_op, 0, fld.offset)
-                fb.get(mask).emit("i64.extend_i32_u").emit("i64.add")
-                fb.emit(fld.store_op, 0, fld.offset)
-                continue
-            if agg.kind == "SUM":
-                fld = layout.field(f"a{i}")
-                wasm = agg.ty.wasm_type
-                fb.get(state)
-                fb.get(state).emit(fld.load_op, 0, fld.offset)
-                expr_compiler.emit(agg.arg)
-                if wasm == "f64":
-                    fb.get(mask).emit("f64.convert_i32_u")
-                    fb.emit("f64.mul")
-                    fb.emit("f64.add")
-                else:
-                    fb.get(mask)
-                    if wasm == "i64":
-                        fb.emit("i64.extend_i32_u")
-                    fb.emit(f"{wasm}.mul")
-                    fb.emit(f"{wasm}.add")
-                fb.emit(fld.store_op, 0, fld.offset)
-                continue
-            if agg.kind == "AVG":
-                sum_field = layout.field(f"a{i}_sum")
-                cnt_field = layout.field(f"a{i}_cnt")
-                fb.get(state)
-                fb.get(state).emit(sum_field.load_op, 0, sum_field.offset)
-                expr_compiler.emit(agg.arg)
-                fb.get(mask).emit("f64.convert_i32_u").emit("f64.mul")
-                fb.emit("f64.add")
-                fb.emit(sum_field.store_op, 0, sum_field.offset)
-                fb.get(state)
-                fb.get(state).emit(cnt_field.load_op, 0, cnt_field.offset)
-                fb.get(mask).emit("i64.extend_i32_u").emit("i64.add")
-                fb.emit(cnt_field.store_op, 0, cnt_field.offset)
-                continue
-            # MIN / MAX: candidate = mask ? value : current, then the
-            # usual branch-free min/max select
-            fld = layout.field(f"a{i}")
-            wasm = agg.ty.wasm_type
-            value = fb.local(wasm, f"pv{i}")
-            expr_compiler.emit(agg.arg)
-            fb.get(state).emit(fld.load_op, 0, fld.offset)
-            fb.get(mask)
-            fb.emit("select")
-            fb.set(value)
-            fb.get(state)
-            fb.get(value)
-            fb.get(state).emit(fld.load_op, 0, fld.offset)
-            fb.get(value)
-            fb.get(state).emit(fld.load_op, 0, fld.offset)
-            cmp = "lt" if agg.kind == "MIN" else "gt"
-            if wasm != "f64":
-                cmp += "_s"
-            fb.emit(f"{wasm}.{cmp}")
-            fb.emit("select")
-            fb.emit(fld.store_op, 0, fld.offset)
+        self._emit_aggregate_updates(fb, expr_compiler, sink.aggregates,
+                                     layout, state, slots, mask)
 
     def _emit_sink(self, fb, expr_compiler, pipe: Pipeline,
                    info: PipelineInfo, slots, result_layout,
@@ -1068,54 +1014,68 @@ class QueryCompiler:
     def _emit_aggregate_updates(self, fb, expr_compiler,
                                 aggregates: list[Aggregate],
                                 layout: TupleLayout, entry: int,
-                                slots) -> None:
-        """Fully inlined aggregate maintenance on a materialized entry."""
+                                slots, mask: int | None = None) -> None:
+        """Fully inlined aggregate maintenance on a materialized entry:
+        one read-modify-write per state field of each aggregate's row.
+
+        With a 0/1 ``mask`` local the row's selection is data flow:
+        adds take ``value * mask`` (a count ``mask``), a min/max
+        candidate is ``mask ? value : current``.
+        """
         expr_compiler.slots = slots
         for i, agg in enumerate(aggregates):
-            if agg.kind == "COUNT":
-                fld = layout.field(f"a{i}")
+            for f in agg.row.fields:
+                fld = layout.field(f"a{i}{f.suffix}")
+                wasm = fld.ty.wasm_type
+                if f.update in ("min", "max"):
+                    self._emit_compare_update(fb, expr_compiler, agg.arg,
+                                              fld, entry, mask, f.update,
+                                              f"v{i}")
+                    continue
                 fb.get(entry)
                 fb.get(entry).emit(fld.load_op, 0, fld.offset)
-                fb.i64(1).emit("i64.add")
-                fb.emit(fld.store_op, 0, fld.offset)
-                continue
-            if agg.kind == "AVG":
-                sum_field = layout.field(f"a{i}_sum")
-                cnt_field = layout.field(f"a{i}_cnt")
-                fb.get(entry)
-                fb.get(entry).emit(sum_field.load_op, 0, sum_field.offset)
-                expr_compiler.emit(agg.arg)
-                fb.emit("f64.add")
-                fb.emit(sum_field.store_op, 0, sum_field.offset)
-                fb.get(entry)
-                fb.get(entry).emit(cnt_field.load_op, 0, cnt_field.offset)
-                fb.i64(1).emit("i64.add")
-                fb.emit(cnt_field.store_op, 0, cnt_field.offset)
-                continue
-            fld = layout.field(f"a{i}")
-            wasm = agg.ty.wasm_type
-            if agg.kind == "SUM":
-                fb.get(entry)
-                fb.get(entry).emit(fld.load_op, 0, fld.offset)
-                expr_compiler.emit(agg.arg)
+                if f.update == "count":
+                    if mask is None:
+                        fb.i64(1)
+                    else:
+                        fb.get(mask).emit("i64.extend_i32_u")
+                else:
+                    expr_compiler.emit(agg.arg)
+                    if mask is not None:
+                        fb.get(mask)
+                        if wasm != "i32":
+                            fb.emit("f64.convert_i32_u" if wasm == "f64"
+                                    else "i64.extend_i32_u")
+                        fb.emit(f"{wasm}.mul")
                 fb.emit(f"{wasm}.add")
                 fb.emit(fld.store_op, 0, fld.offset)
-                continue
-            # MIN / MAX: branch-free via select (cf. Fig. 7d discussion)
-            value = fb.local(wasm, f"v{i}")
-            expr_compiler.emit(agg.arg)
-            fb.set(value)
-            fb.get(entry)
-            fb.get(value)
+
+    @staticmethod
+    def _emit_compare_update(fb, expr_compiler, arg, fld, entry: int,
+                             mask: int | None, update: str,
+                             name: str) -> None:
+        """``acc = value <op> acc ? value : acc``, branch-free via select
+        (cf. Fig. 7d discussion); the strict compare never selects a
+        NaN and keeps the first of equal values."""
+        wasm = fld.ty.wasm_type
+        value = fb.local(wasm, name)
+        expr_compiler.emit(arg)
+        if mask is not None:
             fb.get(entry).emit(fld.load_op, 0, fld.offset)
-            fb.get(value)
-            fb.get(entry).emit(fld.load_op, 0, fld.offset)
-            cmp = "lt" if agg.kind == "MIN" else "gt"
-            if wasm != "f64":
-                cmp += "_s"
-            fb.emit(f"{wasm}.{cmp}")
+            fb.get(mask)
             fb.emit("select")
-            fb.emit(fld.store_op, 0, fld.offset)
+        fb.set(value)
+        fb.get(entry)
+        fb.get(value)
+        fb.get(entry).emit(fld.load_op, 0, fld.offset)
+        fb.get(value)
+        fb.get(entry).emit(fld.load_op, 0, fld.offset)
+        cmp = "lt" if update == "min" else "gt"
+        if wasm != "f64":
+            cmp += "_s"
+        fb.emit(f"{wasm}.{cmp}")
+        fb.emit("select")
+        fb.emit(fld.store_op, 0, fld.offset)
 
     def _emit_sort_append(self, fb, expr_compiler, op: P.Sort,
                           slots) -> None:
@@ -1173,12 +1133,9 @@ class _FunctionIndexWrapper:
 
 
 def _aggregate_payload(i: int, agg: Aggregate) -> list[tuple]:
-    """Payload fields (name, type, initial value) for one aggregate."""
-    if agg.kind == "COUNT":
-        return [(f"a{i}", T.INT64, 0)]
-    if agg.kind == "AVG":
-        return [(f"a{i}_sum", T.DOUBLE, 0.0), (f"a{i}_cnt", T.INT64, 0)]
-    if agg.kind == "SUM":
-        zero = 0.0 if agg.ty.is_floating else 0
-        return [(f"a{i}", agg.ty, zero)]
-    return [(f"a{i}", agg.ty, sentinel_for(agg.kind, agg.ty))]
+    """Payload fields (name, type, identity) for one aggregate's state."""
+    payload = []
+    for f in agg.row.fields:
+        ty = f.acc_type(agg)
+        payload.append((f"a{i}{f.suffix}", ty, f.identity(ty)))
+    return payload

@@ -32,8 +32,7 @@ from repro.backend.layout import TupleLayout
 from repro.sql.types import DataType
 from repro.wasm.builder import FunctionBuilder
 
-__all__ = ["GeneratedHashTable", "MIN_SENTINELS", "MAX_SENTINELS",
-           "sentinel_for"]
+__all__ = ["GeneratedHashTable"]
 
 _GOLDEN64 = -0x61C8864680B583EB  # 0x9E3779B97F4A7C15 as signed i64
 _FNV_BASIS = -3750763034362895579
@@ -44,15 +43,6 @@ _INLINE_KEY_BYTES = 8
 #: ... and keys of these widths compare with a single load per side.
 _WORD_LOADS = {1: ("i32.load8_u", "i32"), 2: ("i32.load16_u", "i32"),
                4: ("i32.load", "i32"), 8: ("i64.load", "i64")}
-
-# Sentinels initializing MIN/MAX aggregate fields.
-MIN_SENTINELS = {"i32": 2**31 - 1, "i64": 2**63 - 1, "f64": float("inf")}
-MAX_SENTINELS = {"i32": -(2**31), "i64": -(2**63), "f64": float("-inf")}
-
-
-def sentinel_for(kind: str, ty: DataType):
-    table = MIN_SENTINELS if kind == "MIN" else MAX_SENTINELS
-    return table[ty.wasm_type]
 
 
 def _next_pow2(n: int) -> int:

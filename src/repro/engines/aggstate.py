@@ -1,64 +1,39 @@
-"""Aggregate accumulation shared by the interpreting engines."""
+"""Aggregate accumulation shared by the interpreting engines.
+
+A state is the flat list of every aggregate's :class:`StateField`
+accumulators, in order; what each field does is its row of
+:data:`~repro.plan.exprs.AGGREGATES`.
+"""
 
 from __future__ import annotations
 
-from repro.backend.hashtable import sentinel_for
 from repro.plan.exprs import Aggregate
 
 __all__ = ["new_states", "update_states", "finalize_states"]
 
 
 def new_states(aggregates: list[Aggregate]) -> list:
-    """Initial accumulator per aggregate.
-
-    COUNT/SUM start at 0; MIN/MAX start at None (first value wins);
-    AVG is a [sum, count] pair.
-    """
-    states = []
-    for agg in aggregates:
-        if agg.kind == "COUNT":
-            states.append(0)
-        elif agg.kind == "SUM":
-            states.append(0.0 if agg.ty.is_floating else 0)
-        elif agg.kind == "AVG":
-            states.append([0.0, 0])
-        else:  # MIN / MAX
-            states.append(None)
-    return states
+    """Every aggregate's state fields at their identities."""
+    return [f.identity(f.acc_type(agg))
+            for agg in aggregates for f in agg.row.fields]
 
 
 def update_states(states: list, aggregates: list[Aggregate], values: list):
     """Fold one input row's aggregate argument values into the states."""
-    for i, agg in enumerate(aggregates):
-        kind = agg.kind
-        if kind == "COUNT":
-            states[i] += 1
-        elif kind == "SUM":
-            states[i] += values[i]
-        elif kind == "AVG":
-            states[i][0] += values[i]
-            states[i][1] += 1
-        elif kind == "MIN":
-            v = values[i]
-            if states[i] is None or v < states[i]:
-                states[i] = v
-        else:  # MAX
-            v = values[i]
-            if states[i] is None or v > states[i]:
-                states[i] = v
+    j = 0
+    for agg, value in zip(aggregates, values):
+        for f in agg.row.fields:
+            states[j] = f.step(states[j], value)
+            j += 1
 
 
 def finalize_states(states: list, aggregates: list[Aggregate]) -> list:
     """Accumulators -> output values (storage representation)."""
     out = []
-    for state, agg in zip(states, aggregates):
-        if agg.kind == "AVG":
-            total, count = state
-            out.append(total / count if count else 0.0)
-        elif agg.kind in ("MIN", "MAX") and state is None:
-            # empty input (scalar aggregation only): the no-NULL
-            # convention shared by all engines is the type's sentinel
-            out.append(sentinel_for(agg.kind, agg.ty))
-        else:
-            out.append(state)
+    j = 0
+    for agg in aggregates:
+        row = agg.row
+        n = len(row.fields)
+        out.append(row.finalize(states[j:j + n], agg.scale))
+        j += n
     return out

@@ -26,6 +26,7 @@ import time
 
 from repro.catalog.catalog import Catalog
 from repro.costmodel import Profile
+from repro.engines.aggstate import finalize_states, new_states
 from repro.engines.base import ExecutionResult, QueryEngine, Stopwatch, Timings
 from repro.engines.hyper.compile import compile_o0, compile_o2
 from repro.engines.hyper.hir import BytecodeInterpreter, flatten_to_bytecode
@@ -63,38 +64,12 @@ class HyperRuntimeLibrary:
             elif kind == "group":
                 self.state[sid] = {}
             elif kind == "scalar":
-                self.state[sid] = self._new_agg_entry(config["aggregates"])
+                self.state[sid] = new_states(config["aggregates"])
             elif kind == "sort" or kind == "nlj":
                 self.state[sid] = []
             elif kind == "limit":
                 self.state[sid] = [0]
         return self.state[sid]
-
-    @staticmethod
-    def _new_agg_entry(aggregates) -> list:
-        entry: list = []
-        for kind, ty in aggregates:
-            if kind == "COUNT":
-                entry.append(0)
-            elif kind == "SUM":
-                entry.append(0.0 if "DOUBLE" in ty else 0)
-            elif kind == "AVG":
-                entry += [0.0, 0]
-            elif kind == "MIN":
-                if "DOUBLE" in ty:
-                    entry.append(float("inf"))
-                elif "INT32" in ty or "DATE" in ty:
-                    entry.append(2**31 - 1)
-                else:
-                    entry.append(2**63 - 1)
-            else:  # MAX
-                if "DOUBLE" in ty:
-                    entry.append(float("-inf"))
-                elif "INT32" in ty or "DATE" in ty:
-                    entry.append(-(2**31))
-                else:
-                    entry.append(-(2**63))
-        return entry
 
     # -- joins --------------------------------------------------------------
 
@@ -130,7 +105,7 @@ class HyperRuntimeLibrary:
         key = keys if len(keys) > 1 else keys[0]
         entry = table.get(key)
         if entry is None:
-            entry = table[key] = self._new_agg_entry(config["aggregates"])
+            entry = table[key] = new_states(config["aggregates"])
         if self.profile is not None:
             self.profile.memory_bulk(
                 f"hyper-group:{sid}", accesses=2, sequential=0,
@@ -148,7 +123,7 @@ class HyperRuntimeLibrary:
         for key, entry in table.items():
             key_part = key if isinstance(key, tuple) else (key,)
             rows.append(key_part + tuple(
-                self._finalize(entry, config["aggregates"])
+                finalize_states(entry, config["aggregates"])
             ))
         self._entry_cache[sid] = rows
         return rows
@@ -161,22 +136,7 @@ class HyperRuntimeLibrary:
     def agg_entries(self, sid):
         kind, config = self.configs[sid]
         entry = self._ensure(sid)
-        return [tuple(self._finalize(entry, config["aggregates"]))]
-
-    @staticmethod
-    def _finalize(entry: list, aggregates) -> list:
-        out = []
-        offset = 0
-        for kind, ty in aggregates:
-            if kind == "AVG":
-                total, count = entry[offset], entry[offset + 1]
-                out.append(total / count if count else 0.0)
-                offset += 2
-            else:
-                value = entry[offset]
-                out.append(0 if value is None else value)
-                offset += 1
-        return out
+        return [tuple(finalize_states(entry, config["aggregates"]))]
 
     # -- sorting (comparison callbacks!) ----------------------------------------------
 

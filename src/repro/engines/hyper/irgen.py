@@ -453,7 +453,7 @@ class _HirGenerator:
             return
         if isinstance(sink, P.HashGroupBy):
             sid = self.structure_id(sink, "group", {
-                "aggregates": [(a.kind, str(a.ty)) for a in sink.aggregates],
+                "aggregates": list(sink.aggregates),
                 "estimate": int(sink.estimated_rows),
             })
             key_regs = [gen.gen(k) for k in sink.keys]
@@ -463,7 +463,7 @@ class _HirGenerator:
             return
         if isinstance(sink, P.ScalarAggregate):
             sid = self.structure_id(sink, "scalar", {
-                "aggregates": [(a.kind, str(a.ty)) for a in sink.aggregates],
+                "aggregates": list(sink.aggregates),
             })
             sid_reg = fb.const(sid)
             entry = fb.call("agg_state", [sid_reg])
@@ -491,48 +491,28 @@ class _HirGenerator:
 
     def _gen_agg_updates(self, fb, aggregates, entry, slots) -> None:
         """Aggregate maintenance compiles inline (only the table access
-        went through the library, as in HyPer)."""
+        went through the library, as in HyPer): one update per state
+        field of each aggregate's row."""
         gen = _ExprGen(fb, slots)
         offset = 0
         for agg in aggregates:
-            if agg.kind == "COUNT":
+            fields = agg.row.fields
+            value = None if all(f.update == "count" for f in fields) \
+                else gen.gen(agg.arg)
+            for f in fields:
                 cur = fb.reg()
-                idx = fb.const(offset)
-                fb.emit("getitem", cur, entry, idx)
-                one = fb.const(1)
-                nxt = fb.binop("+", cur, one)
-                fb.emit("setitem", entry, offset, nxt)
+                fb.emit("getitem", cur, entry, fb.const(offset))
+                if f.update in ("min", "max"):
+                    cmp = fb.binop("<" if f.update == "min" else ">",
+                                   value, cur)
+                    with fb.if_(cmp):
+                        fb.emit("setitem", entry, offset, value)
+                else:
+                    ty = "f64" if f.acc_type(agg).is_floating else "i64"
+                    step = fb.const(1) if f.update == "count" else value
+                    fb.emit("setitem", entry, offset,
+                            fb.binop("+", cur, step, ty))
                 offset += 1
-                continue
-            value = gen.gen(agg.arg)
-            if agg.kind == "AVG":
-                cur = fb.reg()
-                idx = fb.const(offset)
-                fb.emit("getitem", cur, entry, idx)
-                nxt = fb.binop("+", cur, value, "f64")
-                fb.emit("setitem", entry, offset, nxt)
-                cnt = fb.reg()
-                idx2 = fb.const(offset + 1)
-                fb.emit("getitem", cnt, entry, idx2)
-                one = fb.const(1)
-                nxt2 = fb.binop("+", cnt, one)
-                fb.emit("setitem", entry, offset + 1, nxt2)
-                offset += 2
-                continue
-            cur = fb.reg()
-            idx = fb.const(offset)
-            fb.emit("getitem", cur, entry, idx)
-            if agg.kind == "SUM":
-                ty = "f64" if agg.ty.is_floating else "i64"
-                nxt = fb.binop("+", cur, value, ty)
-                fb.emit("setitem", entry, offset, nxt)
-            else:
-                cmp = fb.binop("<" if agg.kind == "MIN" else ">",
-                               value, cur)
-                with fb.if_(cmp):
-                    fb.emit("setitem", entry, offset, value)
-            offset += 1
-
 
 def generate_hir(plan: P.PhysicalOperator) -> HirProgram:
     """Physical plan -> HIR program (the QEP -> LLVM-IR translation)."""

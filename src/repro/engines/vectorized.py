@@ -515,38 +515,35 @@ def _combine_two_sided(build_cols: list[np.ndarray],
     return build_codes, probe_codes
 
 
+#: The bulk form of the compare updates.  They run over the rows in
+#: *reverse*: numpy's fmin/fmax skip a NaN and, of equal values,
+#: keep the one applied last -- so reversed, the first row's, exactly
+#: the strict compare of the other engines.
+_BULK = {"min": np.fmin, "max": np.fmax}
+
+
 def _aggregate_vec(agg, ev: _Evaluator, chunk: _Chunk,
                    group_ids: np.ndarray, n_groups: int) -> np.ndarray:
-    if agg.kind == "COUNT":
-        counts = np.bincount(group_ids, minlength=n_groups)
-        return counts.astype(np.int64)
-    values = np.asarray(ev.evaluate(agg.arg, chunk))
-    if agg.kind == "SUM":
-        if values.dtype.kind == "f":
-            out = np.zeros(n_groups, dtype=np.float64)
-        else:
-            out = np.zeros(n_groups, dtype=np.int64)
-        np.add.at(out, group_ids, values)
-        return out.astype(agg.ty.numpy_dtype, copy=False)
-    if agg.kind == "AVG":
-        sums = np.zeros(n_groups, dtype=np.float64)
-        np.add.at(sums, group_ids, values.astype(np.float64))
-        counts = np.bincount(group_ids, minlength=n_groups)
-        with np.errstate(invalid="ignore"):
-            return sums / np.maximum(counts, 1)
-    if agg.kind == "MIN":
-        out = np.full(n_groups, _extreme(values.dtype, high=True))
-        np.minimum.at(out, group_ids, values)
-        return out.astype(agg.ty.numpy_dtype, copy=False)
-    if agg.kind == "MAX":
-        out = np.full(n_groups, _extreme(values.dtype, high=False))
-        np.maximum.at(out, group_ids, values)
-        return out.astype(agg.ty.numpy_dtype, copy=False)
-    raise EngineError(f"unknown aggregate {agg.kind!r}")
-
-
-def _extreme(dtype, high: bool):
-    if dtype.kind == "f":
-        return np.inf if high else -np.inf
-    info = np.iinfo(dtype)
-    return info.max if high else info.min
+    row = agg.row
+    values = None if agg.arg is None \
+        else np.asarray(ev.evaluate(agg.arg, chunk))
+    state = []
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        for f in row.fields:
+            if f.update == "count":
+                state.append(np.bincount(group_ids, minlength=n_groups)
+                             .astype(np.int64))
+                continue
+            ty = f.acc_type(agg)
+            out = np.full(n_groups, f.identity(ty), dtype=ty.numpy_dtype)
+            fed = values.astype(out.dtype, copy=False)
+            if f.update == "add":
+                np.add.at(out, group_ids, fed)
+            else:
+                _BULK[f.update].at(out, group_ids[::-1], fed[::-1])
+            state.append(out)
+        if not row.mean:
+            return state[0].astype(agg.ty.numpy_dtype, copy=False)
+        total, count = state
+        mean = total.astype(np.float64) / count / 10**agg.scale
+    return np.where(count > 0, mean, 0.0)

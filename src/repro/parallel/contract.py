@@ -29,10 +29,13 @@ Safety rules enforced here, each with a recorded reason:
 
 * partitioned scans must be ``SeqScan`` (an ``IndexSeek`` range is not
   a row range);
-* aggregate merging requires associative, engine-exact combination:
-  COUNT and integer/decimal SUM (i64 wraparound), MIN/MAX over
-  non-string types.  AVG and float SUM are rejected — float addition
-  is not associative, and byte-identical results are the contract;
+* aggregate merging requires an ``order_free`` row of
+  :data:`~repro.plan.exprs.AGGREGATES` whose state is one field, so a
+  worker's finalized row *is* its partial state: COUNT, integer/decimal
+  SUM (i64 wraparound), MIN/MAX.  Float SUM is rejected (float addition
+  is not associative, and byte-identical results are the contract);
+  AVG ships whole because its state is two fields (sum and count) and
+  workers ship finalized rows;
 * nothing may post-process the merge boundary except a pure
   slot-projection (a ``HAVING`` filter over partial groups, a Sort, or
   a Limit between partitions would observe partial state);
@@ -51,10 +54,6 @@ from repro.plan.exprs import Slot
 from repro.plan.pipeline import dissect_into_pipelines
 
 __all__ = ["ParallelDecision", "plan_contract"]
-
-#: Aggregate kinds the driver can combine exactly; see merge.py.
-_MERGEABLE_KINDS = ("COUNT", "SUM", "MIN", "MAX")
-
 
 @dataclass
 class ParallelDecision:
@@ -118,12 +117,12 @@ def _slot_projection(op: P.Project) -> list[int] | None:
 def _aggregate_safety(aggregates) -> str | None:
     """Why these aggregates cannot be merged, or None if they can."""
     for agg in aggregates:
-        if agg.kind not in _MERGEABLE_KINDS:
-            return f"{agg.kind} is not partition-mergeable"
-        if agg.kind == "SUM" and agg.ty.is_floating:
-            return "float SUM is not associative"
-        if agg.kind in ("MIN", "MAX") and agg.ty.is_string:
-            return f"string {agg.kind} merge unsupported"
+        row = agg.row
+        if len(row.fields) != 1:
+            return (f"{agg.kind} state is {len(row.fields)} fields;"
+                    f" workers ship finalized rows")
+        if not row.order_free:
+            return f"float {agg.kind} is not associative"
     return None
 
 

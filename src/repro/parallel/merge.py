@@ -8,8 +8,9 @@ empty partition's aggregate row carries the engine's fold identities
 (e.g. ``MIN(date)`` = ``INT32_MAX``), which must be *combined away*
 rather than converted (``date.fromordinal(2**31-1)`` would blow up).
 
-All combining reproduces what the engine itself would have computed
-over the unpartitioned input:
+Each aggregate combines with its row's ``combine`` in
+:data:`~repro.plan.exprs.AGGREGATES`, which reproduces what the engine
+itself would have computed over the unpartitioned input:
 
 * SUM / COUNT add with i64 wraparound — two partials of ``2**63 - 1``
   merge to ``-2`` exactly as the Wasm i64 adder would;
@@ -33,17 +34,9 @@ from __future__ import annotations
 import struct
 
 from repro.errors import EngineError
+from repro.plan.exprs import AGGREGATES
 
 __all__ = ["merge_concat", "merge_groups", "merge_scalar", "pack_key"]
-
-_I64_MASK = (1 << 64) - 1
-_I64_SIGN = 1 << 63
-
-
-def _wrap64(a: int, b: int) -> int:
-    """i64 addition with wraparound, matching the engine's adder."""
-    return ((a + b + _I64_SIGN) & _I64_MASK) - _I64_SIGN
-
 
 def pack_key(values) -> bytes:
     """Canonical bytes for a tuple of storage key values.
@@ -83,28 +76,19 @@ def merge_concat(partials: list[list[tuple]]) -> list[tuple]:
     return merged
 
 
-def _combine(kind: str, a, b):
-    if kind in ("SUM", "COUNT"):
-        if isinstance(a, float):  # pragma: no cover - contract blocks it
-            raise EngineError("float SUM reached the merge step")
-        return _wrap64(a, b)
-    # MIN / MAX mirror the engine's branch-free select, which folds a
-    # candidate v into the accumulator via a *strict* comparison
-    # (acc = v if v < acc else acc): a NaN candidate is never selected
-    # because every comparison with NaN is false.  Engine partials are
-    # therefore never NaN (the fold seeds from a non-NaN identity); if
-    # a raw NaN partial seeds the accumulator anyway, replace it, so
-    # the merge stays partition-count and -order invariant: the result
-    # is the min/max over non-NaN partials, NaN only if all are.
-    if kind == "MIN":
-        if a != a:
-            return b
-        return b if b < a else a
-    if kind == "MAX":
-        if a != a:
-            return b
-        return b if b > a else a
-    raise EngineError(f"cannot merge {kind} aggregate")
+def _combiners(agg_kinds: list[str]) -> list:
+    """Each aggregate's combine, from its row of ``AGGREGATES``.
+
+    Only one-field states merge; the contract never partitions a float
+    SUM, so the exact row's combine is the one that runs.
+    """
+    combiners = []
+    for kind in agg_kinds:
+        row = AGGREGATES.get((kind, True))
+        if row is None or len(row.fields) != 1:
+            raise EngineError(f"cannot merge {kind} aggregate")
+        combiners.append(row.fields[0].combine)
+    return combiners
 
 
 def merge_groups(partials: list[list[tuple]], key_count: int,
@@ -115,6 +99,7 @@ def merge_groups(partials: list[list[tuple]], key_count: int,
     out sorted by packed key bytes (deterministic across runs and
     worker counts).
     """
+    combiners = _combiners(agg_kinds)
     groups: dict[bytes, list] = {}
     for rows in partials:
         for row in rows:
@@ -123,15 +108,16 @@ def merge_groups(partials: list[list[tuple]], key_count: int,
             if acc is None:
                 groups[key] = list(row)
                 continue
-            for i, kind in enumerate(agg_kinds):
+            for i, combine in enumerate(combiners):
                 j = key_count + i
-                acc[j] = _combine(kind, acc[j], row[j])
+                acc[j] = combine(acc[j], row[j])
     return [tuple(groups[key]) for key in sorted(groups)]
 
 
 def merge_scalar(partials: list[list[tuple]],
                  agg_kinds: list[str]) -> list[tuple]:
     """Combine per-partition scalar-aggregate rows (one row each)."""
+    combiners = _combiners(agg_kinds)
     acc = None
     for rows in partials:
         if len(rows) != 1:
@@ -142,8 +128,8 @@ def merge_scalar(partials: list[list[tuple]],
         if acc is None:
             acc = list(row)
             continue
-        for i, kind in enumerate(agg_kinds):
-            acc[i] = _combine(kind, acc[i], row[i])
+        for i, combine in enumerate(combiners):
+            acc[i] = combine(acc[i], row[i])
     if acc is None:  # pragma: no cover - at least one partition always
         raise EngineError("scalar merge received no partitions")
     return [tuple(acc)]

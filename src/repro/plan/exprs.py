@@ -22,7 +22,8 @@ and their expression semantics identical by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass, field, replace
 
 from repro.errors import PlanError
 from repro.sql import types as T
@@ -31,6 +32,7 @@ from repro.sql.types import DataType
 __all__ = [
     "LExpr", "Slot", "Const", "Param", "Neg", "Arith", "Compare", "Logic",
     "Not", "Case", "Like", "Extract", "Promote", "Aggregate",
+    "AGGREGATES", "AggregateRow", "StateField", "wrap64",
     "walk_lexpr", "slots_used", "params_used", "bind_params",
 ]
 
@@ -225,7 +227,8 @@ class Aggregate:
     """One aggregate computed by an aggregation operator (not an LExpr).
 
     ``kind``: COUNT (arg None means ``COUNT(*)``), SUM, AVG, MIN, MAX.
-    ``arg`` is a lowered expression over the aggregation input.
+    ``arg`` is a lowered expression over the aggregation input; what the
+    aggregate computes from it is :attr:`row` of :data:`AGGREGATES`.
     """
 
     kind: str
@@ -233,8 +236,132 @@ class Aggregate:
     ty: DataType
 
     @property
-    def needs_sum_and_count(self) -> bool:
-        return self.kind == "AVG"
+    def row(self) -> AggregateRow:
+        exact = self.arg is None or not self.arg.ty.is_floating
+        return AGGREGATES[self.kind, exact]
+
+    @property
+    def scale(self) -> int:
+        """Decimal scale of the argument (0 unless DECIMAL)."""
+        return getattr(self.arg.ty, "scale", 0) if self.arg is not None else 0
+
+
+# -- aggregate semantics ------------------------------------------------------
+
+_I64_MASK = (1 << 64) - 1
+_I64_SIGN = 1 << 63
+
+
+def wrap64(value: int) -> int:
+    """``value`` as the i64 the Wasm adder leaves (two's complement)."""
+    return ((value + _I64_SIGN) & _I64_MASK) - _I64_SIGN
+
+
+def _wrap_add(a: int, b: int) -> int:
+    return wrap64(a + b)
+
+
+#: Identities of the compare updates, per Wasm storage type.
+_EXTREMES = {
+    "min": {"i32": 2**31 - 1, "i64": 2**63 - 1, "f64": float("inf")},
+    "max": {"i32": -(2**31), "i64": -(2**63), "f64": float("-inf")},
+}
+
+
+@dataclass(frozen=True)
+class StateField:
+    """One accumulator of an aggregate's state.
+
+    ``update`` is how a row folds in: ``"add"`` the value, ``"count"``
+    one, or ``"min"`` / ``"max"`` by *strict* compare (the value
+    replaces the accumulator only if ``value < acc`` / ``value > acc``,
+    so a NaN is never selected and of equal values the first stays).
+    ``step`` is that fold in Python, ``combine`` merges two partial
+    states of the field.  ``suffix`` names the field in a Wasm layout
+    (``a{i}{suffix}``).
+    """
+
+    update: str
+    step: object
+    combine: object
+    suffix: str = ""
+
+    def acc_type(self, agg: Aggregate) -> DataType:
+        """Accumulator type: counts are INT64, the rest the argument's."""
+        return T.INT64 if self.update == "count" else agg.arg.ty
+
+    def identity(self, ty: DataType):
+        """The state a field starts from (and an empty input leaves)."""
+        if self.update in _EXTREMES:
+            return _EXTREMES[self.update][ty.wasm_type]
+        return 0.0 if ty.is_floating else 0
+
+
+@dataclass(frozen=True)
+class AggregateRow:
+    """What one aggregate kind means over exact or floating input.
+
+    ``order_free``: folding any partitioning of the input per partition
+    and combining the partials field by field in partition order gives
+    the bits of one sequential fold (i64 adds wrap; strict-compare
+    min/max keeps the first of equal values either way).  Float adds
+    are not associative, so float SUM / AVG are not order-free.
+
+    ``mean`` selects the finalize: ``float(sum) / count / 10**scale``
+    (0.0 for an empty input) instead of the lone field's value.  The
+    empty-input value of every row is ``finalize`` of the identities.
+    """
+
+    fields: tuple[StateField, ...]
+    order_free: bool
+    mean: bool = False
+
+    def finalize(self, state, scale: int = 0):
+        """Accumulators (storage values) -> the aggregate's value.
+
+        The Python engines add exact states unbounded; wrapping here
+        gives the i64 result the Wasm adder reaches step by step.
+        """
+        total = wrap64(state[0]) if isinstance(state[0], int) else state[0]
+        if not self.mean:
+            return total
+        count = state[1]
+        return float(total) / count / 10**scale if count else 0.0
+
+
+_COUNT = StateField("count", lambda acc, _: acc + 1, _wrap_add)
+_EXACT_SUM = StateField("add", operator.add, _wrap_add)
+_FLOAT_SUM = StateField("add", operator.add, operator.add)
+# a NaN partial never wins a combine, whatever side it arrives on
+_MIN = StateField("min", lambda acc, v: v if v < acc else acc,
+                  lambda a, b: b if b < a or a != a else a)
+_MAX = StateField("max", lambda acc, v: v if v > acc else acc,
+                  lambda a, b: b if b > a or a != a else a)
+
+
+def _mean(total: StateField, order_free: bool) -> AggregateRow:
+    return AggregateRow(
+        (replace(total, suffix="_sum"), replace(_COUNT, suffix="_cnt")),
+        order_free, mean=True,
+    )
+
+
+#: ``(kind, exact) -> AggregateRow``: the one definition of every
+#: aggregate, read by codegen, the interpreting engines and the
+#: parallel contract and merge.  ``exact`` is False when the argument
+#: is a float.
+AGGREGATES: dict[tuple[str, bool], AggregateRow] = {
+    (kind, exact): row
+    for kind, by_exactness in (
+        ("COUNT", (AggregateRow((_COUNT,), True),) * 2),
+        ("SUM", (AggregateRow((_EXACT_SUM,), True),
+                 AggregateRow((_FLOAT_SUM,), False))),
+        ("AVG", (_mean(_EXACT_SUM, True), _mean(_FLOAT_SUM, False))),
+        ("MIN", (AggregateRow((_MIN,), True),) * 2),
+        ("MAX", (AggregateRow((_MAX,), True),) * 2),
+    )
+    for exact, row in zip((True, False), by_exactness)
+}
 
 
 def walk_lexpr(expr: LExpr):
@@ -474,21 +601,21 @@ class Lowerer:
         return Arith(op, left, right, result_ty)
 
     def lower_aggregate(self, call) -> Aggregate:
-        """Lower one aggregate FuncCall (args lowered over the child)."""
+        """Lower one aggregate FuncCall (args lowered over the child).
+
+        An argument that is summed is widened to its sum type: integers
+        to INT64, decimals and doubles as they are.
+        """
         from repro.sql import ast
 
-        if call.name == "COUNT":
-            arg = None
-            if not isinstance(call.args[0], ast.Star):
-                arg = self.lower(call.args[0])
-            return Aggregate("COUNT", arg, T.INT64)
+        if isinstance(call.args[0], ast.Star):
+            return Aggregate(call.name, None, call.ty)  # COUNT(*)
         arg = self.lower(call.args[0])
-        if call.name == "SUM":
-            result_ty = call.ty
-            return Aggregate("SUM", self.coerce(arg, result_ty), result_ty)
-        if call.name == "AVG":
-            return Aggregate("AVG", self.coerce(arg, T.DOUBLE), T.DOUBLE)
-        return Aggregate(call.name, arg, call.ty)  # MIN / MAX
+        adds = any(f.update == "add"
+                   for f in AGGREGATES[call.name, True].fields)
+        if adds and arg.ty.is_integer:
+            arg = self.coerce(arg, T.INT64)
+        return Aggregate(call.name, arg, call.ty)
 
 
 def _as_decimal(ty: DataType) -> T.DecimalType:

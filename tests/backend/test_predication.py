@@ -15,7 +15,7 @@ def db():
     return database
 
 
-AGG_SQL = ("SELECT COUNT(*), SUM(x2), MIN(x2), MAX(x2), AVG(y)"
+AGG_SQL = ("SELECT COUNT(*), SUM(x2), MIN(x2), MAX(x2), AVG(y), AVG(x2)"
            " FROM t WHERE x < {threshold}")
 
 

@@ -5,8 +5,11 @@ vectorized, and HyPer-like baselines — four independent implementations
 of the same physical-plan semantics.
 """
 
+import pytest
 
-from tests.engines.conftest import assert_engines_agree
+from repro.db import Database
+
+from tests.engines.conftest import ALL_ENGINES, assert_engines_agree
 
 
 class TestSelection:
@@ -201,6 +204,51 @@ class TestAggregation:
         assert_engines_agree(
             db, "SELECT DISTINCT name, x / 25 FROM r ORDER BY name, x / 25"
         )
+
+
+class TestAggregateSemantics:
+    """The rules of ``plan.exprs.AGGREGATES`` hold in every engine:
+    MIN/MAX never select a NaN, and AVG over exact types sums in i64
+    and divides only at finalize."""
+
+    @pytest.fixture(scope="class")
+    def agg_db(self):
+        db = Database(default_engine="volcano")
+        db.execute("CREATE TABLE t (g INT, a DOUBLE, b DOUBLE)")
+        db.execute("INSERT INTO t VALUES (1, 0, 0), (1, 1, 1), (1, 2, 1),"
+                   " (2, 3, 1), (2, 0, 0)")
+        db.execute("CREATE TABLE w (v BIGINT, p DECIMAL(12,2))")
+        db.execute("INSERT INTO w VALUES (9007199254740992, 0.10),"
+                   " (1, 0.20), (1, 0.30)")
+        return db
+
+    def test_grouped_min_max_skip_nan(self, agg_db):
+        rows = assert_engines_agree(
+            agg_db, "SELECT g, MIN(a / b), MAX(a / b) FROM t GROUP BY g")
+        assert sorted(rows) == [(1, 1.0, 2.0), (2, 3.0, 3.0)]
+
+    def test_scalar_min_max_skip_nan(self, agg_db):
+        rows = assert_engines_agree(agg_db,
+                                    "SELECT MIN(a / b), MAX(a / b) FROM t")
+        assert rows == [(1.0, 3.0)]
+
+    def _bits(self, db, sql):
+        return {engine: [tuple(v.hex() for v in row)
+                         for row in db.execute(sql, engine=engine).rows]
+                for engine in ALL_ENGINES}
+
+    def test_avg_of_int64_is_exact(self, agg_db):
+        # an f64 running sum loses the two ones against 2**53
+        bits = self._bits(agg_db, "SELECT AVG(v) FROM w")
+        expected = [(((2**53 + 2) / 3).hex(),)]
+        assert bits == {engine: expected for engine in ALL_ENGINES}
+
+    def test_decimal_avg_has_identical_bits(self, agg_db):
+        # 0.1 + 0.2 + 0.3 in f64 is 0.6000000000000001; the scaled
+        # i64 sum is exactly 60
+        bits = self._bits(agg_db, "SELECT AVG(p), AVG(v) FROM w")
+        assert len({repr(rows) for rows in bits.values()}) == 1, bits
+        assert bits["volcano"][0][0] == (60 / 3 / 100).hex()
 
 
 class TestJoins:

@@ -20,6 +20,8 @@ from repro.engines.hyper.hir import (
     int_div,
     int_rem,
 )
+from repro.plan.exprs import Aggregate, Slot
+from repro.sql import types as T
 
 
 def run_function(func, args=(), columns=None, library=None, mode="interp",
@@ -184,9 +186,10 @@ class TestPasses:
 class TestLibrary:
     def test_group_upsert_and_entries(self):
         lib = HyperRuntimeLibrary(
-            [("group", {"aggregates": [("COUNT", "INT64"),
-                                       ("SUM", "INT64")],
-                        "estimate": 4})],
+            [("group", {"aggregates": [
+                Aggregate("COUNT", None, T.INT64),
+                Aggregate("SUM", Slot(0, T.INT64), T.INT64),
+            ], "estimate": 4})],
             profile=None,
         )
         for key, value in [("a", 1), ("b", 2), ("a", 3)]:
@@ -236,7 +239,9 @@ class TestLibrary:
 
     def test_avg_finalize(self):
         lib = HyperRuntimeLibrary(
-            [("scalar", {"aggregates": [("AVG", "DOUBLE")]})], profile=None
+            [("scalar", {"aggregates": [
+                Aggregate("AVG", Slot(0, T.DOUBLE), T.DOUBLE),
+            ]})], profile=None,
         )
         state = lib.agg_state(0)
         state[0] += 10.0

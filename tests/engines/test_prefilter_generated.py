@@ -143,10 +143,11 @@ def splits(svc: QueryService, k: int) -> bool:
     return len(a) > 0 and a.min() < k < a.max()
 
 SINKS = {
-    "scalar": "SELECT COUNT(*), SUM(a), SUM(p) FROM t WHERE {where}",
+    "scalar": ("SELECT COUNT(*), SUM(a), SUM(p), AVG(b), AVG(p), MIN(d), "
+               "MAX(d) FROM t WHERE {where}"),
     "projection": "SELECT id, b, d, c FROM t WHERE {where}",
-    "group_by": ("SELECT g, COUNT(*), SUM(p), MIN(a) FROM t WHERE {where} "
-                 "GROUP BY g"),
+    "group_by": ("SELECT g, COUNT(*), SUM(p), MIN(a), AVG(b), MAX(d) "
+                 "FROM t WHERE {where} GROUP BY g"),
     "join": ("SELECT t.id, u.w FROM t, u WHERE t.g = u.k AND {where}"),
 }
 

@@ -104,11 +104,15 @@ class TestLowering:
         assert isinstance(expr, E.Arith)
         assert expr.left.ty == T.DOUBLE
 
-    def test_avg_argument_promoted_to_double(self, db):
+    def test_avg_argument_keeps_its_exact_type(self, db):
+        # AVG sums an INT argument as i64 (like SUM); only finalize
+        # divides in f64, so the result type stays DOUBLE
         plan = plan_for(db, "SELECT AVG(x) FROM r")
         agg = _find(plan, P.ScalarAggregate).aggregates[0]
         assert agg.kind == "AVG"
-        assert agg.arg.ty == T.DOUBLE
+        assert agg.arg.ty == T.INT64
+        assert agg.ty == T.DOUBLE
+        assert agg.row.order_free
 
     def test_slots_used(self, db):
         pred = self._lower(db, "SELECT x FROM r WHERE x < 3 AND y > 1.0")

@@ -25,7 +25,7 @@ import pytest
 
 from repro.wasm import ModuleBuilder
 
-from tests.wasm.conftest import assert_all_modes_agree
+from tests.wasm.conftest import ALL_MODES, assert_all_modes_agree
 
 _I32_BIN = [
     "i32.add", "i32.sub", "i32.mul", "i32.and", "i32.or", "i32.xor",
@@ -424,6 +424,66 @@ class TestPredicateFoldingDifferential:
             assert not any(k.startswith("compile.") for k in kinds), pred
             folded += 1
         assert folded >= 20  # the seed produces a healthy empty share
+
+
+# ---------------------------------------------------------------------------
+# SQL-level differential: aggregate semantics across every engine and tier
+# ---------------------------------------------------------------------------
+
+#: Every engine spec, and the wasm engine pinned to every mode.
+_AGG_SPECS = ("volcano", "vectorized", "hyper") + tuple(
+    f"wasm[{mode}]" for mode in ALL_MODES + ["adaptive", "adaptive_stencil"]
+)
+
+
+def _aggregate_db():
+    """Seeded rows whose sums wrap i64 and whose doubles hold NaN, signed
+    zeros and infinities, beside decimals an f64 running sum rounds."""
+    from repro.db import Database
+
+    rng = random.Random(0xA66)
+    edges = [float("nan"), 0.0, -0.0, float("inf"), float("-inf")]
+    db = Database()
+    db.execute("CREATE TABLE ag (g INT, v BIGINT, p DECIMAL(12,2),"
+               " f DOUBLE)")
+    db.table("ag").append_rows([
+        (i % 5,
+         rng.choice([2**62 + rng.randrange(2**40), 2**53, 1,
+                     rng.randrange(-1000, 1000)]),
+         rng.randrange(0, 10**6) / 100,
+         rng.choice(edges) if rng.random() < 0.2
+         else rng.uniform(-9, 9))
+        for i in range(400)
+    ])
+    return db
+
+
+def _bits(rows):
+    """Rows with every float as its exact bit pattern, sorted."""
+    return sorted(repr(tuple(v.hex() if isinstance(v, float) else v
+                             for v in row)) for row in rows)
+
+
+class TestAggregateDifferential:
+    """Exact AVG (i64 sum, one division at finalize) and the strict
+    MIN/MAX compare give identical bits in every engine and tier."""
+
+    SQL = [
+        "SELECT AVG(v), AVG(p), SUM(v), MIN(f), MAX(f) FROM ag",
+        "SELECT g, AVG(v), AVG(p), AVG(f), MIN(f), MAX(f) FROM ag"
+        " GROUP BY g",
+        "SELECT AVG(p), COUNT(*) FROM ag WHERE v < 1000",
+        "SELECT AVG(v) FROM ag WHERE g > 99",
+    ]
+
+    @pytest.mark.parametrize("sql", SQL)
+    def test_every_spec_returns_the_same_bits(self, sql):
+        db = _aggregate_db()
+        results = {spec: _bits(db.execute(sql, engine=spec).rows)
+                   for spec in _AGG_SPECS}
+        expected = results["volcano"]
+        for spec, got in results.items():
+            assert got == expected, (spec, sql)
 
 
 # ---------------------------------------------------------------------------
