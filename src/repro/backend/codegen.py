@@ -386,13 +386,11 @@ class QueryCompiler:
         if isinstance(source, P.SeqScan):
             info.source_kind = "scan"
             info.source_name = source.binding
-            self._declare_extent(fb, source.binding)
             self._emit_scan_loop(fb, source, body)
             return
         if isinstance(source, P.IndexSeek):
             info.source_kind = "indexseek"
             info.source_name = source.binding
-            self._declare_extent(fb, source.binding)
             info.seek = (source.key_column, source.low, source.high,
                          source.low_strict, source.high_strict)
             self._emit_index_seek_loop(fb, source, body)
@@ -423,29 +421,6 @@ class QueryCompiler:
             f"cannot use {type(source).__name__} as a pipeline source"
         )
 
-    def _declare_extent(self, fb: FunctionBuilder, binding: str) -> None:
-        """Declare the host's morsel contract ``0 <= begin, end <= extent``
-        on a ``pipeline_i(begin, end)`` — the hint that lets the interval
-        analysis bound every row address and lets TurboFan elide the
-        per-access bounds checks of the scan loop."""
-        extent = self.memory.extent_rows.get(binding)
-        if extent is not None:
-            fb.param_range(0, 0, extent)
-            fb.param_range(1, 0, extent)
-
-    def _declare_load_range(self, fb: FunctionBuilder, binding: str,
-                            column: str, load_op: str) -> None:
-        """Declare the host's value contract on the column load just
-        emitted — the catalog-statistics bounds collected into
-        ``MemoryPlan.value_ranges`` by the plan analysis.  Integer loads
-        only: float intervals carry no elision value and the interval
-        domain is integral."""
-        if not load_op.startswith(("i32", "i64")):
-            return
-        bounds = self.memory.value_ranges.get((binding, column))
-        if bounds is not None:
-            fb.value_range(*bounds)
-
     def _emit_scan_loop(self, fb: FunctionBuilder, scan: P.SeqScan,
                         body) -> None:
         """The tight per-morsel scan loop: row in [begin, end)."""
@@ -455,31 +430,7 @@ class QueryCompiler:
             with fb.loop() as top:
                 fb.get(row).get(1).emit("i32.ge_s")
                 fb.br_if(done)
-                slots = []
-                for col in scan.output:
-                    binding, column = col.ref
-                    base = self.memory.column_address(binding, column)
-                    local = fb.local(
-                        col.ty.wasm_type if not col.ty.is_string else "i32",
-                        f"v_{column}",
-                    )
-                    if col.ty.is_string:
-                        fb.get(row).i32(col.ty.size).emit("i32.mul")
-                        fb.i32(base).emit("i32.add").set(local)
-                    else:
-                        size = col.ty.size
-                        fb.get(row).i32(size).emit("i32.mul")
-                        load_op = {
-                            ("i32", 1): "i32.load8_s",
-                            ("i32", 4): "i32.load",
-                            ("i64", 8): "i64.load",
-                            ("f64", 8): "f64.load",
-                        }[(col.ty.wasm_type, size)]
-                        fb.emit(load_op, 0, base)
-                        self._declare_load_range(fb, binding, column, load_op)
-                        fb.set(local)
-                    slots.append(SlotValue(local, col.ty))
-                body(slots)
+                body(self._emit_column_loads(fb, scan.output, row))
                 fb.get(row).i32(1).emit("i32.add").set(row)
                 fb.br(top)
 
@@ -502,38 +453,38 @@ class QueryCompiler:
                 fb.br_if(done)
                 fb.get(pos).i32(4).emit("i32.mul")
                 fb.emit("i32.load", 0, rowid_base)
-                self._declare_load_range(
-                    fb, seek.binding, f"__index_rowids__{seek.key_column}",
-                    "i32.load",
-                )
                 fb.set(rowid)
-                slots = []
-                for col in seek.output:
-                    binding, column = col.ref
-                    base = self.memory.column_address(binding, column)
-                    local = fb.local(
-                        col.ty.wasm_type if not col.ty.is_string else "i32",
-                        f"v_{column}",
-                    )
-                    if col.ty.is_string:
-                        fb.get(rowid).i32(col.ty.size).emit("i32.mul")
-                        fb.i32(base).emit("i32.add").set(local)
-                    else:
-                        size = col.ty.size
-                        fb.get(rowid).i32(size).emit("i32.mul")
-                        load_op = {
-                            ("i32", 1): "i32.load8_s",
-                            ("i32", 4): "i32.load",
-                            ("i64", 8): "i64.load",
-                            ("f64", 8): "f64.load",
-                        }[(col.ty.wasm_type, size)]
-                        fb.emit(load_op, 0, base)
-                        self._declare_load_range(fb, binding, column, load_op)
-                        fb.set(local)
-                    slots.append(SlotValue(local, col.ty))
-                body(slots)
+                body(self._emit_column_loads(fb, seek.output, rowid))
                 fb.get(pos).i32(1).emit("i32.add").set(pos)
                 fb.br(top)
+
+    def _emit_column_loads(self, fb: FunctionBuilder, output,
+                           row: int) -> list[SlotValue]:
+        """Load row ``row`` of every scanned column into a fresh local: a
+        string column's slot is the address of its fixed-width value."""
+        slots = []
+        for col in output:
+            binding, column = col.ref
+            base = self.memory.column_address(binding, column)
+            local = fb.local(
+                col.ty.wasm_type if not col.ty.is_string else "i32",
+                f"v_{column}",
+            )
+            size = col.ty.size
+            fb.get(row).i32(size).emit("i32.mul")
+            if col.ty.is_string:
+                fb.i32(base).emit("i32.add")
+            else:
+                load_op = {
+                    ("i32", 1): "i32.load8_s",
+                    ("i32", 4): "i32.load",
+                    ("i64", 8): "i64.load",
+                    ("f64", 8): "f64.load",
+                }[(col.ty.wasm_type, size)]
+                fb.emit(load_op, 0, base)
+            fb.set(local)
+            slots.append(SlotValue(local, col.ty))
+        return slots
 
     def _emit_group_iteration(self, fb: FunctionBuilder, op: P.HashGroupBy,
                               ht: GeneratedHashTable, body) -> None:

@@ -34,18 +34,8 @@ class MemoryPlan:
     row_counts: dict[str, int] = field(default_factory=dict)  # binding -> rows
     #: binding -> largest row index count a pipeline over that binding may
     #: see per invocation (the chunk window for chunked scans, else the
-    #: full row count).  Declared as ``param_range`` contracts on the
-    #: generated pipelines so the interval analysis can bound addresses.
+    #: full row count).
     extent_rows: dict[str, int] = field(default_factory=dict)
-    #: (binding, column) -> inclusive host-guaranteed bounds on every
-    #: value the column's loads can produce (integer storage domains
-    #: only; derived from catalog statistics by the plan analysis).
-    #: Declared as ``value_range`` contracts on the generated loads so
-    #: the interval analysis can bound *loaded* values — the key to
-    #: eliding bounds checks on loads addressed by another load (e.g.
-    #: index-seek row ids).
-    value_ranges: dict[tuple[str, str], tuple[int, int]] = \
-        field(default_factory=dict)
 
     def column_address(self, binding: str, column: str) -> int:
         try:
@@ -78,8 +68,7 @@ class CompilerContext:
         # replaces it with its rewired space at instantiation — the
         # paper's SetModuleMemory() patch (Section 6).  The minimum is the
         # true extent of the planned address space (heap is the last
-        # region), which the bounds-check elision uses as its proof bound;
-        # the host-provided rewired memory always covers it.
+        # region); the host-provided rewired memory always covers it.
         min_pages = max(1, -(-memory.heap_end // 65536))
         self.mb.add_memory(min_pages, 1 << 16, export="memory")
 

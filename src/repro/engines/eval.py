@@ -2,8 +2,11 @@
 
 Used by the Volcano engine (its expression interpreter) and anywhere a
 single tuple must be evaluated in Python.  Semantics deliberately match
-the Wasm backend: truncating integer division, scaled-integer decimals,
-byte-wise string comparison, day-number dates.
+the Wasm backend: integer ``+ - *`` and negation wrap to the result
+type's width, integer division and remainder truncate toward zero and
+raise on a zero divisor or ``MIN / -1`` (:func:`int_div`, shared with
+the HyPer engine), scaled-integer decimals, byte-wise string
+comparison, day-number dates.
 """
 
 from __future__ import annotations
@@ -14,7 +17,8 @@ from repro.engines.datecalc import civil_from_days
 from repro.errors import EngineError
 from repro.plan import exprs as E
 
-__all__ = ["evaluate", "like_matches", "sql_like_regex", "compare_values"]
+__all__ = ["evaluate", "like_matches", "sql_like_regex", "compare_values",
+           "int_div", "int_rem"]
 
 
 def sql_like_regex(pattern: str) -> re.Pattern:
@@ -66,14 +70,21 @@ def compare_values(op: str, a, b) -> bool:
     return _CMP[op](a, b)
 
 
-def _int_div(a: int, b: int) -> int:
+def int_div(a: int, b: int, bits: int = 64) -> int:
+    """Wasm's ``div_s``: truncates toward zero; a zero divisor and the
+    one overflowing quotient, ``MIN / -1``, raise."""
     if b == 0:
         raise EngineError("integer division by zero")
     q = abs(a) // abs(b)
-    return -q if (a < 0) != (b < 0) else q
+    if (a < 0) != (b < 0):
+        return -q
+    if q >> (bits - 1):
+        raise EngineError("integer overflow")
+    return q
 
 
-def _int_rem(a: int, b: int) -> int:
+def int_rem(a: int, b: int) -> int:
+    """Wasm's ``rem_s``: the sign of the dividend (``MIN % -1`` is 0)."""
     if b == 0:
         raise EngineError("integer division by zero")
     r = abs(a) % abs(b)
@@ -97,12 +108,6 @@ def evaluate(expr: E.LExpr, row: tuple, profile=None):
         a = evaluate(expr.left, row, profile)
         b = evaluate(expr.right, row, profile)
         op = expr.op
-        if op == "+":
-            return a + b
-        if op == "-":
-            return a - b
-        if op == "*":
-            return a * b
         if op == "/":
             if expr.ty.is_floating:
                 if b == 0.0:
@@ -110,10 +115,19 @@ def evaluate(expr: E.LExpr, row: tuple, profile=None):
                         float("-inf") if a < 0 else float("nan")
                     )
                 return a / b
-            return _int_div(a, b)
+            return int_div(a, b, E.INT_BITS[expr.ty.wasm_type])
         if op == "%":
-            return _int_rem(a, b)
-        raise EngineError(f"unknown arithmetic op {op!r}")
+            return int_rem(a, b)
+        if op == "+":
+            value = a + b
+        elif op == "-":
+            value = a - b
+        elif op == "*":
+            value = a * b
+        else:
+            raise EngineError(f"unknown arithmetic op {op!r}")
+        return value if expr.ty.is_floating else \
+            E.wrap_int(value, E.INT_BITS[expr.ty.wasm_type])
     if isinstance(expr, E.Compare):
         a = evaluate(expr.left, row, profile)
         b = evaluate(expr.right, row, profile)
@@ -126,7 +140,9 @@ def evaluate(expr: E.LExpr, row: tuple, profile=None):
     if isinstance(expr, E.Not):
         return not evaluate(expr.operand, row, profile)
     if isinstance(expr, E.Neg):
-        return -evaluate(expr.operand, row, profile)
+        value = -evaluate(expr.operand, row, profile)
+        return value if expr.ty.is_floating else \
+            E.wrap_int(value, E.INT_BITS[expr.ty.wasm_type])
     if isinstance(expr, E.Promote):
         value = evaluate(expr.operand, row, profile)
         if expr.ty.is_floating:

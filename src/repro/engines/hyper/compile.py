@@ -23,6 +23,7 @@ from repro.engines.datecalc import civil_from_days
 from repro.engines.eval import like_matches
 from repro.engines.hyper import hir
 from repro.errors import CompilationError
+from repro.plan.exprs import INT_BITS, wrap_int
 from repro.pyast import checked_parse
 
 __all__ = ["compile_o0", "compile_o2", "CompiledHir"]
@@ -222,6 +223,8 @@ def constant_propagation(body: list) -> list:
                 if a in known and b in known and kind in _FOLDABLE:
                     try:
                         value = _FOLDABLE[kind](known[a], known[b], ty)
+                        if kind in ("+", "-", "*") and ty in INT_BITS:
+                            value = wrap_int(value, INT_BITS[ty])
                         known[dst] = value
                         out.append(("const", dst, value))
                         continue
@@ -484,11 +487,15 @@ def _emit_python(func: hir.HirFunction, body: list, mapping: dict[int, int],
                 em.emit("return")
             elif op == "bin":
                 _, kind, dst, a, b, ty = instr
+                bits = INT_BITS.get(ty, 64)
                 if kind == "/":
                     expr = (f"_fdiv({reg(a)}, {reg(b)})" if ty == "f64"
-                            else f"_idiv({reg(a)}, {reg(b)})")
+                            else f"_idiv({reg(a)}, {reg(b)}, {bits})")
                 else:
                     expr = _BIN_TEMPLATE[kind].format(a=reg(a), b=reg(b))
+                    if kind in ("+", "-", "*") and ty in INT_BITS:
+                        half = 1 << (bits - 1)
+                        expr = f"(({expr}) + {half} & {2 * half - 1}) - {half}"
                 em.emit(f"{reg(dst)} = {expr}")
             elif op == "const":
                 em.emit(f"{reg(instr[1])} = {instr[2]!r}")

@@ -20,7 +20,10 @@ Instruction tuples::
     ("const",  dst, value)
     ("mov",    dst, src)
     ("bin",    op, dst, a, b, kind)      # + - * / % == != < <= > >= & |
-    ("neg",    dst, a) / ("not", dst, a)
+                                         # kind: i32 | i64 (SQL integer
+                                         # arithmetic, wraps), int (an
+                                         # unbounded counter), f64
+    ("neg",    dst, a) / ("not", dst, a) # neg: doubles only
     ("loadcol", dst, col_id, row_reg)    # base-table column access
     ("call",   dst_or_None, name, [args])# runtime library call
     ("getitem", dst, seq, index) / ("setitem", seq, index, value)
@@ -38,25 +41,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.engines.datecalc import civil_from_days
-from repro.engines.eval import like_matches
-from repro.errors import EngineError
+from repro.engines.eval import int_div, int_rem, like_matches
+from repro.plan.exprs import INT_BITS, wrap_int
 
 __all__ = ["HirFunction", "flatten_to_bytecode", "BytecodeInterpreter",
            "int_div", "int_rem", "float_div"]
-
-
-def int_div(a, b):
-    if b == 0:
-        raise EngineError("integer division by zero")
-    q = abs(a) // abs(b)
-    return -q if (a < 0) != (b < 0) else q
-
-
-def int_rem(a, b):
-    if b == 0:
-        raise EngineError("integer division by zero")
-    r = abs(a) % abs(b)
-    return -r if a < 0 else r
 
 
 def float_div(a, b):
@@ -170,15 +159,15 @@ class BytecodeInterpreter:
             if op == "bin":
                 _, kind, dst, a, b, ty = instr
                 va, vb = regs[a], regs[b]
-                if kind == "+":
-                    regs[dst] = va + vb
-                elif kind == "-":
-                    regs[dst] = va - vb
-                elif kind == "*":
-                    regs[dst] = va * vb
+                if kind == "+" or kind == "-" or kind == "*":
+                    value = va + vb if kind == "+" else \
+                        va - vb if kind == "-" else va * vb
+                    bits = INT_BITS.get(ty)
+                    regs[dst] = value if bits is None \
+                        else wrap_int(value, bits)
                 elif kind == "/":
                     regs[dst] = float_div(va, vb) if ty == "f64" \
-                        else int_div(va, vb)
+                        else int_div(va, vb, INT_BITS.get(ty, 64))
                 elif kind == "%":
                     regs[dst] = int_rem(va, vb)
                 elif kind == "==":

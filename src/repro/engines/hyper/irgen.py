@@ -68,7 +68,7 @@ class _FunctionBuilder:
         self.emit("const", dst, value)
         return dst
 
-    def binop(self, kind: str, a: int, b: int, ty: str = "i64") -> int:
+    def binop(self, kind: str, a: int, b: int, ty: str = "int") -> int:
         dst = self.reg()
         self.emit("bin", kind, dst, a, b, ty)
         return dst
@@ -145,8 +145,7 @@ class _ExprGen:
         if isinstance(expr, E.Arith):
             a = self.gen(expr.left)
             b = self.gen(expr.right)
-            ty = "f64" if expr.ty.is_floating else "i64"
-            return fb.binop(expr.op, a, b, ty)
+            return fb.binop(expr.op, a, b, expr.ty.wasm_type)
         if isinstance(expr, E.Compare):
             a = self.gen(expr.left)
             b = self.gen(expr.right)
@@ -154,16 +153,19 @@ class _ExprGen:
             # strings arrive as NUL-stripped bytes from the column lists
             # and as unpadded literals, so plain byte comparison matches
             # the padded semantics of the other engines
-            return fb.binop(op, a, b, "i64")
+            return fb.binop(op, a, b)
         if isinstance(expr, E.Logic):
             a = self.gen(expr.left)
             b = self.gen(expr.right)
-            return fb.binop("&" if expr.op == "AND" else "|", a, b, "i64")
+            return fb.binop("&" if expr.op == "AND" else "|", a, b)
         if isinstance(expr, E.Not):
             dst = fb.reg()
             fb.emit("not", dst, self.gen(expr.operand))
             return dst
         if isinstance(expr, E.Neg):
+            if not expr.ty.is_floating:  # 0 - x wraps like the rest
+                return fb.binop("-", fb.const(0), self.gen(expr.operand),
+                                expr.ty.wasm_type)
             dst = fb.reg()
             fb.emit("neg", dst, self.gen(expr.operand))
             return dst
@@ -270,7 +272,7 @@ class _HirGenerator:
                     slots.append(dst)
                 body(slots)
                 one = fb.const(1)
-                fb.emit("bin", "+", pos, pos, one, "i64")
+                fb.emit("bin", "+", pos, pos, one, "int")
             return
         if isinstance(source, P.SeqScan):
             info.source_kind = "scan"
@@ -289,7 +291,7 @@ class _HirGenerator:
                     slots.append(dst)
                 body(slots)
                 one = fb.const(1)
-                fb.emit("bin", "+", row, row, one, "i64")
+                fb.emit("bin", "+", row, row, one, "int")
             return
         if isinstance(source, (P.HashGroupBy, P.ScalarAggregate, P.Sort)):
             kind, fetch = {
@@ -320,7 +322,7 @@ class _HirGenerator:
                     slots.append(dst)
                 body(slots)
                 one = fb.const(1)
-                fb.emit("bin", "+", index, index, one, "i64")
+                fb.emit("bin", "+", index, index, one, "int")
             return
         raise PlanError(
             f"hyper cannot source from {type(source).__name__}"
@@ -398,7 +400,7 @@ class _HirGenerator:
             else:
                 continue_with(combined)
             one = fb.const(1)
-            fb.emit("bin", "+", index, index, one, "i64")
+            fb.emit("bin", "+", index, index, one, "int")
 
     def _gen_nlj_probe(self, fb, op: P.NestedLoopJoin, slots,
                        continue_with) -> None:
@@ -431,7 +433,7 @@ class _HirGenerator:
             else:
                 continue_with(combined)
             one = fb.const(1)
-            fb.emit("bin", "+", index, index, one, "i64")
+            fb.emit("bin", "+", index, index, one, "int")
 
     # -- sinks ----------------------------------------------------------------
 
@@ -508,7 +510,7 @@ class _HirGenerator:
                     with fb.if_(cmp):
                         fb.emit("setitem", entry, offset, value)
                 else:
-                    ty = "f64" if f.acc_type(agg).is_floating else "i64"
+                    ty = "f64" if f.acc_type(agg).is_floating else "int"
                     step = fb.const(1) if f.update == "count" else value
                     fb.emit("setitem", entry, offset,
                             fb.binop("+", cur, step, ty))

@@ -58,12 +58,22 @@ class _Chunk:
         return _Chunk([col[sel] for col in self.columns], len(sel))
 
 
+def _int_rem_trunc(a: np.ndarray, b) -> np.ndarray:
+    """Wasm's ``rem_s``: the remainder takes the dividend's sign
+    (``MIN % -1`` is 0); a zero divisor raises, as in every engine."""
+    if np.any(np.asarray(b) == 0):
+        raise EngineError("integer division by zero")
+    return np.fmod(a, b).astype(a.dtype, copy=False)
+
+
 def _int_div_trunc(a: np.ndarray, b) -> np.ndarray:
-    """Truncating (toward-zero) integer division, matching Wasm."""
-    with np.errstate(divide="ignore"):
-        q = np.abs(a) // np.abs(b)
-    negative = (a < 0) != (np.asarray(b) < 0)
-    return np.where(negative, -q, q).astype(a.dtype, copy=False)
+    """Wasm's ``div_s``: truncates toward zero; a zero divisor and the
+    one overflowing quotient, ``MIN / -1``, raise."""
+    r = _int_rem_trunc(a, b)
+    if np.any((a == np.iinfo(a.dtype).min) & (np.asarray(b) == -1)):
+        raise EngineError("integer overflow")
+    # a - r is an exact multiple of b: floor division is exact
+    return ((a - r) // b).astype(a.dtype, copy=False)
 
 
 def _factorize(column: np.ndarray) -> tuple[np.ndarray, int]:
@@ -122,8 +132,7 @@ class _Evaluator:
                         return np.divide(a, b)
                     return _int_div_trunc(a, b)
                 if expr.op == "%":
-                    r = np.abs(a) % np.abs(b)
-                    return np.where(a < 0, -r, r).astype(a.dtype, copy=False)
+                    return _int_rem_trunc(a, b)
             raise EngineError(f"unknown arithmetic op {expr.op!r}")
         if isinstance(expr, E.Compare):
             a = self.evaluate(expr.left, chunk)
@@ -155,11 +164,21 @@ class _Evaluator:
             self._kernel(f"promote:{id(expr)}", n)
             return value.astype(expr.ty.numpy_dtype, copy=False)
         if isinstance(expr, E.Case):
-            conditions = [self.evaluate(c, chunk) for c, _ in expr.whens]
-            results = [self.evaluate(r, chunk) for _, r in expr.whens]
-            default = self.evaluate(expr.else_, chunk)
-            self._kernel(f"case:{id(expr)}", n * len(conditions))
-            return np.select(conditions, results, default=default)
+            # each result only over the rows that pick it: a division in
+            # an arm its WHEN guards never sees the rows it excludes
+            rest = np.arange(n)
+            arms = []
+            for cond, result in expr.whens:
+                hit = self.evaluate(cond, chunk.take(rest)).astype(bool)
+                arms.append((rest[hit],
+                             self.evaluate(result, chunk.take(rest[hit]))))
+                rest = rest[~hit]
+            arms.append((rest, self.evaluate(expr.else_, chunk.take(rest))))
+            self._kernel(f"case:{id(expr)}", n * len(expr.whens))
+            out = np.empty(n, dtype=np.result_type(*(v for _, v in arms)))
+            for rows, values in arms:
+                out[rows] = values
+            return out
         if isinstance(expr, E.Like):
             value = self.evaluate(expr.operand, chunk)
             self._kernel(f"like:{id(expr)}", n)

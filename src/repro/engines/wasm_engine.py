@@ -173,8 +173,6 @@ class WasmEngine(QueryEngine):
         lint: run the static-analysis linter over every generated module —
             ``"off"`` (default), ``"warn"``, or ``"strict"`` (raise
             :class:`~repro.errors.LintError` on any diagnostic).
-        elide_bounds_checks: let TurboFan drop per-access address masks
-            the interval analysis proves redundant (default on).
         fault_injector: a :class:`repro.robustness.FaultInjector`
             threaded through the engine's named fault sites (testing).
     """
@@ -188,8 +186,7 @@ class WasmEngine(QueryEngine):
                  table_window_rows: int | None = None,
                  timeout_seconds: float | None = None,
                  max_memory_pages: int | None = None,
-                 lint: str = "off", elide_bounds_checks: bool = True,
-                 fault_injector=None):
+                 lint: str = "off", fault_injector=None):
         self.mode = mode
         self.short_circuit = short_circuit
         self.morsel_size = morsel_size
@@ -198,7 +195,6 @@ class WasmEngine(QueryEngine):
         self.timeout_seconds = timeout_seconds
         self.max_memory_pages = max_memory_pages
         self.lint = lint
-        self.elide_bounds_checks = elide_bounds_checks
         self.fault_injector = fault_injector
         # Figure 5: tables larger than this window (in rows) are not
         # mapped whole; the host re-wires chunk after chunk into a fixed
@@ -247,35 +243,9 @@ class WasmEngine(QueryEngine):
         column_addresses: dict[tuple[str, str], int] = {}
         row_counts: dict[str, int] = {}
         extent_rows: dict[str, int] = {}
-        value_ranges: dict[tuple[str, str], tuple[int, int]] = {}
-        analysis = getattr(plan, "analysis", None)
-        scan_hints = getattr(analysis, "scan_facts", None) or {}
         for scan in _scans_of(plan):
             table = catalog.get(scan.table_name)
             row_counts[scan.binding] = table.row_count
-            hints = scan_hints.get(scan.binding)
-            for name in scan.columns:
-                # host-guaranteed bounds on every stored value (from the
-                # plan analysis when present, else straight from the
-                # catalog statistics) — integer storage domains only,
-                # which is what the Wasm interval analysis can consume
-                if hints is not None and name in hints:
-                    value_ranges[(scan.binding, name)] = hints[name]
-                    continue
-                cstat = table.statistics.column(name)
-                if (isinstance(cstat.minimum, int)
-                        and isinstance(cstat.maximum, int)
-                        and not isinstance(cstat.minimum, bool)):
-                    value_ranges[(scan.binding, name)] = (
-                        cstat.minimum, cstat.maximum
-                    )
-            if isinstance(scan, P.IndexSeek):
-                # the index permutation holds row ids into this table:
-                # provably within [0, row_count)
-                pseudo = f"__index_rowids__{scan.key_column}"
-                value_ranges[(scan.binding, pseudo)] = (
-                    0, max(table.row_count - 1, 0)
-                )
             window = self.table_window_rows
             chunked = (window is not None and table.row_count > window
                        and isinstance(scan, P.SeqScan))
@@ -328,7 +298,6 @@ class WasmEngine(QueryEngine):
             column_addresses=column_addresses,
             row_counts=row_counts,
             extent_rows=extent_rows,
-            value_ranges=value_ranges,
         )
         return space, memory_plan
 
@@ -381,7 +350,6 @@ class WasmEngine(QueryEngine):
             run.cancel_token.raise_if_cancelled(phase="translation")
         engine = Engine(EngineConfig(
             mode=self.mode, lint=self.lint,
-            elide_bounds_checks=self.elide_bounds_checks,
             fault_injector=self.fault_injector,
         ))
         memory = LinearMemory(space)
@@ -518,7 +486,6 @@ class WasmEngine(QueryEngine):
             )
         trace_event(trace, "tier_stats", tier_ups=stats.tier_ups,
                     tier_up_failures=stats.tier_up_failures,
-                    bounds_checks_elided=stats.bounds_checks_elided,
                     **tier_attrs)
         if run.raw_rows:
             result = ExecutionResult(

@@ -33,8 +33,8 @@ Trace event taxonomy (the kinds producers emit):
 ``morsel``                  one morsel invocation (``pipeline``, ``morsel``,
                             ``begin``, ``end``, ``tier`` that ran it)
 ``tier_up``                 adaptive recompilation patched in optimized code
-                            (``elided`` bounds checks, ``prefiltered`` loops
-                            of the function that moved)
+                            (``prefiltered`` loops of the function that
+                            moved)
 ``tier_up.failure``         a tier's compile failed (at instantiation or at a
                             promotion); the function is pinned to the rung
                             the tier table says it lands on

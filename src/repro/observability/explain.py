@@ -6,9 +6,9 @@ recorded during a real execution and folds it back onto the plan:
 * per **pipeline** — morsel count, rows handed to the sink (or the
   result), and execution time split by the tier that actually ran each
   morsel (the paper's adaptive story, made visible per query);
-* per **tier** — functions compiled, tier-ups and their failures,
-  bounds checks the interval analysis elided, and one line per tier-up
-  decision with the meter reading that triggered it;
+* per **tier** — functions compiled, tier-ups and their failures, and
+  one line per tier-up decision with the meter reading that triggered
+  it;
 * per **phase** — parse, analyze, plan, translation (with per-pipeline
   codegen), validation, lint, per-tier compilation, execution.
 
@@ -189,8 +189,7 @@ def render_explain_analyze(plan, trace, stats: list[PipelineStats],
         ]
         parts.append(
             f"tier-ups={attrs.get('tier_ups', 0)} "
-            f"(failures={attrs.get('tier_up_failures', 0)}) "
-            f"bounds-checks-elided={attrs.get('bounds_checks_elided', 0)}"
+            f"(failures={attrs.get('tier_up_failures', 0)})"
         )
         if "stencil_cache_hits" in attrs:
             parts.append(

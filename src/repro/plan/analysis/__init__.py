@@ -12,9 +12,6 @@ uniqueness) through the logical plan.  Consumers:
 * **predicate implication** — conjuncts already implied by established
   facts are dropped before join ordering
   (:mod:`repro.plan.optimizer`);
-* **codegen hints** — stats-derived column intervals flow into
-  :class:`~repro.backend.context.MemoryPlan` value-range contracts so
-  the Wasm interval analysis can elide more bounds checks;
 * **PlanLinter** — structured, offset-bearing diagnostics over
   inter-operator invariants, mirroring
   :class:`~repro.wasm.analysis.lint.ModuleLinter`.

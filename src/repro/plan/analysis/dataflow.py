@@ -8,9 +8,8 @@ once.
 Facts start at table scans, seeded from catalog statistics (min/max are
 exact storage-domain bounds computed from the stored NumPy columns),
 and are refined by every predicate on the way up.  The resulting
-:class:`PlanAnalysis` is the one artifact all four consumers read:
-contradiction folding, predicate implication, codegen value-range
-hints, and EXPLAIN rendering.
+:class:`PlanAnalysis` is the one artifact all three consumers read:
+contradiction folding, predicate implication, and EXPLAIN rendering.
 """
 
 from __future__ import annotations
@@ -27,22 +26,12 @@ __all__ = ["PlanAnalysis", "analyze_plan", "seed_scan_facts"]
 
 @dataclass
 class PlanAnalysis:
-    """Everything the fact dataflow proved about one plan.
-
-    ``scan_facts`` holds the *statistics-derived* per-column intervals
-    of each base-table scan (integer storage domains only).  These are
-    host-guaranteed bounds on every stored value — unlike the
-    predicate-refined root facts they remain sound as value-range
-    contracts on raw column loads, which is exactly what the Wasm
-    bounds-check elision consumes.
-    """
+    """Everything the fact dataflow proved about one plan."""
 
     #: Facts about the root operator's output relation.
     root_facts: RelationFacts
     #: (root column name, fact) pairs, in output order, for rendering.
     column_facts: list = field(default_factory=list)
-    #: binding -> {column -> (lo, hi)} integer storage-domain bounds.
-    scan_facts: dict = field(default_factory=dict)
     #: Rendered conjuncts the optimizer dropped as implied.
     dropped_conjuncts: list = field(default_factory=list)
     #: PlanLinter diagnostics (filled in by Database.plan when lint is on).
@@ -120,7 +109,6 @@ def analyze_plan(root: L.LogicalOperator, catalog,
     return PlanAnalysis(
         root_facts=root_facts,
         column_facts=column_facts,
-        scan_facts=_collect_scan_facts(order, catalog),
     )
 
 
@@ -255,23 +243,3 @@ def _transfer(op, children, catalog,
     # Unknown operator: assume nothing (top), sound by construction.
     return RelationFacts()
 
-
-def _collect_scan_facts(order, catalog) -> dict:
-    """Statistics-derived integer bounds per scan binding (hint source)."""
-    out: dict = {}
-    for op in order:
-        if not isinstance(op, L.LogicalScan):
-            continue
-        stats = catalog.get(op.table_name).statistics
-        bounds = {}
-        for col in op.schema:
-            if col.ty.is_string:
-                continue
-            cstat = stats.column(col.name)
-            if isinstance(cstat.minimum, int) and isinstance(cstat.maximum,
-                                                             int) \
-                    and not isinstance(cstat.minimum, bool):
-                bounds[col.name] = (cstat.minimum, cstat.maximum)
-        if bounds:
-            out[op.binding] = bounds
-    return out

@@ -32,7 +32,7 @@ from repro.sql.types import DataType
 __all__ = [
     "LExpr", "Slot", "Const", "Param", "Neg", "Arith", "Compare", "Logic",
     "Not", "Case", "Like", "Extract", "Promote", "Aggregate",
-    "AGGREGATES", "AggregateRow", "StateField", "wrap64",
+    "AGGREGATES", "AggregateRow", "StateField", "INT_BITS", "wrap_int",
     "walk_lexpr", "slots_used", "params_used", "bind_params",
 ]
 
@@ -248,17 +248,20 @@ class Aggregate:
 
 # -- aggregate semantics ------------------------------------------------------
 
-_I64_MASK = (1 << 64) - 1
-_I64_SIGN = 1 << 63
+#: The width integer arithmetic wraps to, per Wasm value type (decimals
+#: compute in i64, dates in i32).
+INT_BITS = {"i32": 32, "i64": 64}
 
 
-def wrap64(value: int) -> int:
-    """``value`` as the i64 the Wasm adder leaves (two's complement)."""
-    return ((value + _I64_SIGN) & _I64_MASK) - _I64_SIGN
+def wrap_int(value: int, bits: int = 64) -> int:
+    """``value`` as the signed ``bits``-bit integer Wasm arithmetic
+    leaves (two's complement)."""
+    half = 1 << (bits - 1)
+    return ((value + half) & ((half << 1) - 1)) - half
 
 
 def _wrap_add(a: int, b: int) -> int:
-    return wrap64(a + b)
+    return wrap_int(a + b)
 
 
 #: Identities of the compare updates, per Wasm storage type.
@@ -322,7 +325,7 @@ class AggregateRow:
         The Python engines add exact states unbounded; wrapping here
         gives the i64 result the Wasm adder reaches step by step.
         """
-        total = wrap64(state[0]) if isinstance(state[0], int) else state[0]
+        total = wrap_int(state[0]) if isinstance(state[0], int) else state[0]
         if not self.mean:
             return total
         count = state[1]

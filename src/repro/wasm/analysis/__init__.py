@@ -3,9 +3,9 @@
 The pipeline: :mod:`.cfg` lowers the structured tuple-IR into a
 basic-block CFG, :mod:`.dataflow` provides the generic forward/backward
 worklist solvers, :mod:`.ranges` runs an interval abstract
-interpretation (the facts behind TurboFan's bounds-check elision), and
-:mod:`.liveness` computes local liveness.  :mod:`.lint` packages it all
-as the :class:`ModuleLinter` behind ``EngineConfig(lint=...)``.
+interpretation, and :mod:`.liveness` computes local liveness.
+:mod:`.lint` packages it all as the :class:`ModuleLinter` behind
+``EngineConfig(lint=...)``, the package's only consumer at run time.
 """
 
 from repro.wasm.analysis.cfg import (

@@ -21,7 +21,7 @@ body by walking the nesting once:
 
 Instructions are addressed by a *preorder offset* (:func:`assign_offsets`)
 rather than by list position: the tuple-IR nests bodies, and consumers
-(diagnostics, the TurboFan elision hook) need one flat, stable numbering
+(the linter's diagnostics) need one flat, stable numbering
 that survives skipping dead or constant-folded branches.
 """
 

@@ -14,10 +14,12 @@ equality via ``==``) and the transfer:
   the successors' states (liveness and friends).
 
 Termination: the forward solver applies the client's ``widen`` operator
-once a block has been visited more than ``widen_after`` times, which
-caps interval ascent at loop headers; a generous global visit budget
-backstops client lattices of unexpected height (:class:`FixpointLimit`
-rather than an infinite loop).
+once a loop header has been visited more than ``widen_after`` times.
+Every cycle of a structured CFG passes through a loop header, so that
+caps interval ascent, while the blocks inside the loop keep the bounds
+their branch conditions refine the widened state to.  A generous global
+visit budget backstops client lattices of unexpected height
+(:class:`FixpointLimit` rather than an infinite loop).
 """
 
 from __future__ import annotations
@@ -60,7 +62,8 @@ def solve_forward(cfg: CFG, entry_state, transfer, join, widen=None,
             else:
                 new = join(old, state)
                 visits[edge.target] += 1
-                if widen is not None and visits[edge.target] > widen_after:
+                if (widen is not None and visits[edge.target] > widen_after
+                        and cfg.blocks[edge.target].is_loop_header):
                     new = widen(old, new)
             if old is None or new != old:
                 in_states[edge.target] = new

@@ -4,16 +4,8 @@ Forward dataflow over the CFG of :mod:`.cfg`, one :class:`AVal` per
 local and per abstract-stack slot.  The domain tracks, per value:
 
 * ``[lo, hi]`` — a signed interval (``None`` bounds for floats and
-  values we give up on);
-* ``exact`` — whether TurboFan's *raw* (wrap-deferred) expression for
-  this value evaluates to the mathematical value itself.  Ring ops
-  (``add``/``sub``/``mul``/``shl``) keep exactness only while their
-  mathematical result stays inside the type's signed range; everything
-  TurboFan computes from ``src`` (wrapped) operands is exact by
-  construction.  Bounds-check elision requires ``exact`` *and*
-  ``lo >= 0``: only then is the unmasked Python expression guaranteed to
-  equal the u32 address (no silent negative indexing into the page
-  table);
+  values we give up on); a ring op whose result may wrap widens to the
+  full type range;
 * ``local`` — provenance: this stack value is a copy of local *n*
   (invalidated when the local is written), which lets a branch on
   ``local.get n ... i32.ge_s`` refine local *n* on both edges —
@@ -23,9 +15,8 @@ local and per abstract-stack slot.  The domain tracks, per value:
 
 Facts: for every reachable memory access the analysis records the
 address operand's :class:`AVal` keyed by preorder instruction offset
-(:class:`MemAccessFact`).  TurboFan uses them to elide the address
-mask; lint uses them to flag accesses that are provably out of bounds
-for every possible memory size.
+(:class:`MemAccessFact`).  The module linter uses them to flag accesses
+that are provably out of bounds for every possible memory size.
 """
 
 from __future__ import annotations
@@ -80,14 +71,13 @@ def _bits_of(valtype: str) -> int:
 class AVal:
     """One abstract value.  Treat instances as immutable."""
 
-    __slots__ = ("lo", "hi", "bits", "exact", "local", "cmp")
+    __slots__ = ("lo", "hi", "bits", "local", "cmp")
 
     def __init__(self, bits: int, lo: int | None, hi: int | None,
-                 exact: bool = True, local: int | None = None, cmp=None):
+                 local: int | None = None, cmp=None):
         self.bits = bits
         self.lo = lo
         self.hi = hi
-        self.exact = exact
         self.local = local
         self.cmp = cmp  # (kind, lhs AVal, rhs AVal) | None
 
@@ -117,7 +107,7 @@ class AVal:
         cmp = self.cmp
         if cmp is not None:
             cmp = (cmp[0], cmp[1]._key(), cmp[2]._key())
-        return (self.bits, self.lo, self.hi, self.exact, self.local, cmp)
+        return (self.bits, self.lo, self.hi, self.local, cmp)
 
     def __eq__(self, other):
         return isinstance(other, AVal) and self._key() == other._key()
@@ -127,9 +117,8 @@ class AVal:
 
     def __repr__(self):
         rng = "float" if self.bits == 0 else f"[{self.lo}, {self.hi}]"
-        tags = ("" if self.exact else " ~") + (
-            f" =L{self.local}" if self.local is not None else "")
-        return f"<AVal i{self.bits} {rng}{tags}>"
+        tag = f" =L{self.local}" if self.local is not None else ""
+        return f"<AVal i{self.bits} {rng}{tag}>"
 
     def join(self, other: "AVal") -> "AVal":
         if self.bits != other.bits or self.bits == 0:
@@ -137,7 +126,6 @@ class AVal:
         return AVal(
             self.bits,
             min(self.lo, other.lo), max(self.hi, other.hi),
-            exact=self.exact and other.exact,
             local=self.local if self.local == other.local else None,
         )
 
@@ -149,7 +137,6 @@ class AVal:
             self.bits,
             self.lo if newer.lo >= self.lo else type_lo,
             self.hi if newer.hi <= self.hi else type_hi,
-            exact=self.exact and newer.exact,
             local=self.local if self.local == newer.local else None,
         )
 
@@ -252,26 +239,19 @@ def _interval_binop(kind: str, bits: int, a: AVal, b: AVal) -> AVal:
         if b.lo == b.hi and 0 <= b.lo < bits:
             lo, hi = a.lo << b.lo, a.hi << b.lo
         else:
-            return AVal(bits, type_lo, type_hi, exact=False)
+            return AVal(bits, type_lo, type_hi)
     if lo < type_lo or hi > type_hi:
-        # may wrap: the deferred-wrap raw expression can diverge from
-        # the true value, and the interval is the full type range
-        return AVal(bits, type_lo, type_hi, exact=False)
-    return AVal(bits, lo, hi, exact=a.exact and b.exact)
+        return AVal(bits, type_lo, type_hi)  # may wrap
+    return AVal(bits, lo, hi)
 
 
 def _interval_bitop(kind: str, bits: int, a: AVal, b: AVal) -> AVal:
-    # Bitwise results always stay inside the signed range, and
-    # Python's infinite two's complement matches Wasm on exact
-    # operands, so exactness is preserved unconditionally.
-    exact = a.exact and b.exact
     if a.lo >= 0 and b.lo >= 0:
         if kind == "and":
-            return AVal(bits, 0, min(a.hi, b.hi), exact=exact)
+            return AVal(bits, 0, min(a.hi, b.hi))
         span = (1 << max(a.hi.bit_length(), b.hi.bit_length())) - 1
-        return AVal(bits, 0, span, exact=exact)
-    type_lo, type_hi = INT_RANGE[bits]
-    return AVal(bits, type_lo, type_hi, exact=exact)
+        return AVal(bits, 0, span)
+    return AVal.top(bits)
 
 
 def _constrain(kind: str, a: AVal, b: AVal):
@@ -370,20 +350,14 @@ class RangeAnalysis:
 
     def entry_state(self) -> _State:
         locals_: list[AVal] = []
-        hints = getattr(self.func, "param_ranges", {}) or {}
         for i, ty in enumerate(self.local_types):
             bits = _bits_of(ty)
-            if i >= len(self.param_types):
+            if i < len(self.param_types):
+                locals_.append(AVal.top(bits))
+            else:
                 # non-parameter locals are zero-initialized by the spec
                 locals_.append(AVal.const(bits, 0) if bits
                                else AVal(0, None, None))
-                continue
-            val = AVal.top(bits)
-            hint = hints.get(i)
-            if hint is not None and bits:
-                type_lo, type_hi = INT_RANGE[bits]
-                val = AVal(bits, max(hint[0], type_lo), min(hint[1], type_hi))
-            locals_.append(val)
         return _State(locals_, [])
 
     # -- solving -----------------------------------------------------------
@@ -495,7 +469,7 @@ class RangeAnalysis:
         elif op in LOAD_FMT:
             addr = stack.pop()
             self._record(off, op, instr[2], addr)
-            stack.append(self._load_result(op, off))
+            stack.append(self._load_result(op))
         elif op in STORE_FMT:
             stack.pop()  # value
             addr = stack.pop()
@@ -532,21 +506,12 @@ class RangeAnalysis:
         else:
             self._step_numeric(st, op)
 
-    def _load_result(self, op: str, off: int) -> AVal:
+    @staticmethod
+    def _load_result(op: str) -> AVal:
         bits = _bits_of(op.split(".", 1)[0])
         special = _LOAD_RESULT_RANGE.get(op)
-        result = (AVal(bits, special[0], special[1]) if special is not None
-                  else AVal.top(bits))
-        hint = self.func.value_ranges.get(off) if bits else None
-        if hint is not None:
-            # intersect with the host's value_range contract for this
-            # load, clamped to the type range (like param_ranges)
-            type_lo, type_hi = INT_RANGE[bits]
-            lo = max(result.lo, hint[0], type_lo)
-            hi = min(result.hi, hint[1], type_hi)
-            if lo <= hi:
-                result = AVal(bits, lo, hi)
-        return result
+        return (AVal(bits, special[0], special[1]) if special is not None
+                else AVal.top(bits))
 
     def _record(self, off: int, op: str, imm_offset: int,
                 addr: AVal) -> None:

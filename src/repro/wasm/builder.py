@@ -140,10 +140,6 @@ class FunctionBuilder:
         self._bodies: list[list] = [self.body]
         self._control: list[Label] = []
         self.func_index: int = -1  # assigned by ModuleBuilder
-        self._param_ranges: dict[int, tuple[int, int]] = {}
-        # (id(body list), position) -> (lo, hi); converted to preorder
-        # offsets at finish() time, once bodies stop growing
-        self._value_ranges: dict[tuple[int, int], tuple[int, int]] = {}
 
     # -- locals -----------------------------------------------------------
 
@@ -162,28 +158,6 @@ class FunctionBuilder:
         if name:
             self._local_names[index] = name
         return index
-
-    def param_range(self, index: int, lo: int, hi: int) -> "FunctionBuilder":
-        """Declare the caller's contract that parameter ``index`` stays in
-        ``[lo, hi]`` — advisory metadata consumed by the static analyses."""
-        if not (0 <= index < len(self.param_types)):
-            raise EncodeError(f"no parameter {index}")
-        if lo > hi:
-            raise EncodeError(f"empty param range [{lo}, {hi}]")
-        self._param_ranges[index] = (int(lo), int(hi))
-        return self
-
-    def value_range(self, lo: int, hi: int) -> "FunctionBuilder":
-        """Declare the host's contract that the value produced by the
-        *last emitted instruction* (a load) stays in ``[lo, hi]`` —
-        advisory metadata consumed by the static analyses."""
-        if lo > hi:
-            raise EncodeError(f"empty value range [{lo}, {hi}]")
-        body = self._current()
-        if not body:
-            raise EncodeError("value_range needs a preceding instruction")
-        self._value_ranges[(id(body), len(body) - 1)] = (int(lo), int(hi))
-        return self
 
     def type_of_local(self, index: int) -> str:
         if index < len(self.param_types):
@@ -337,22 +311,11 @@ class ModuleBuilder:
         """Seal the module.  Idempotent."""
         if self._finished:
             return self._module
-        from repro.wasm.analysis.cfg import assign_offsets
-
         module = self._module
         for fb in self._function_builders:
             type_index = module.add_type(
                 FuncType(tuple(fb.param_types), tuple(fb.result_types))
             )
-            value_ranges: dict[int, tuple[int, int]] = {}
-            if fb._value_ranges:
-                # builder-recorded (body list, position) keys become
-                # preorder offsets now that the bodies are final
-                offsets = assign_offsets(fb.body)
-                for key, bounds in fb._value_ranges.items():
-                    offset = offsets.get(key)
-                    if offset is not None:
-                        value_ranges[offset] = bounds
             module.functions.append(
                 Function(
                     type_index=type_index,
@@ -360,8 +323,6 @@ class ModuleBuilder:
                     body=fb.body,
                     name=fb.name,
                     local_names=dict(fb._local_names),
-                    param_ranges=dict(fb._param_ranges),
-                    value_ranges=value_ranges,
                 )
             )
         for name, kind, target in self._exports:

@@ -51,19 +51,6 @@ class Function:
     body: list = field(default_factory=list)
     name: str | None = None
     local_names: dict[int, str] = field(default_factory=dict)
-    #: Host-contract value hints: parameter index -> inclusive ``(lo, hi)``
-    #: range the caller promises to respect.  Purely advisory metadata for
-    #: the static analyses (not encoded to binary): the codegen declares
-    #: the ``[0, extent_rows]`` contract of ``pipeline_i(begin, end)``
-    #: here, which lets the interval analysis bound scan addresses.
-    param_ranges: dict[int, tuple[int, int]] = field(default_factory=dict)
-    #: Host-contract load hints: preorder instruction offset of a load ->
-    #: inclusive ``(lo, hi)`` range of every value that load can produce
-    #: (the codegen declares the catalog-statistics bounds of column
-    #: loads here).  Advisory, like ``param_ranges``: the interval
-    #: analysis intersects the load result with the hint, which lets it
-    #: bound values no address arithmetic could (index-seek row ids).
-    value_ranges: dict[int, tuple[int, int]] = field(default_factory=dict)
 
     def instruction_count(self) -> int:
         """Instructions in the body, nested blocks included — the size

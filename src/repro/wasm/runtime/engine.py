@@ -104,6 +104,12 @@ class Tier:
     #: the TurboFan : Liftoff ratio drifts).  ``None``: functions are
     #: never promoted *to* this tier, so nothing is estimated.
     seed_rate: float | None = None
+    #: How many times its estimated compile seconds a function must have
+    #: run before it is promoted to this tier.  Code ``s`` times as fast
+    #: as the rung below earns its compile back after ``s / (s - 1)``
+    #: compiles' worth of run: 1.5 for TurboFan, whose loops run about
+    #: three times as fast as Liftoff's (EXPERIMENTS.md).
+    payback: float = 1.0
     #: The rung a function lands on when this tier's compile raises
     #: :class:`~repro.errors.CompilationError` (V8's bailout); ``None``:
     #: there is nothing lower, the error is the caller's.
@@ -143,13 +149,11 @@ def _liftoff(config, instance):
 
 
 def _turbofan(config, instance):
-    compiler = TurboFanCompiler(
-        instance.module, elide_bounds_checks=config.elide_bounds_checks)
+    compiler = TurboFanCompiler(instance.module)
 
     def compile_one(func, func_index):
         compiled = compiler.compile(func, func_index,
                                     instance.profile is not None)
-        instance.stats.bounds_checks_elided += compiled.bounds_checks_elided
         instance.stats.loops_prefiltered += compiled.prefilter is not None
         return compiled.bind(instance, instance.profile)
     return compile_one
@@ -168,7 +172,7 @@ TIERS = {tier.name: tier for tier in (
     Tier("liftoff", "compile.liftoff", _liftoff,
          fault_site="liftoff.compile", seed_rate=18e-6),
     Tier("turbofan", "compile.turbofan", _turbofan,
-         fault_site="turbofan.compile", seed_rate=50e-6,
+         fault_site="turbofan.compile", seed_rate=28e-6, payback=1.5,
          lands_on="liftoff"),
 )}
 
@@ -241,9 +245,11 @@ class CompileRates:
         return seconds / instructions
 
     def estimate(self, tier: str, instructions: int) -> float:
-        """Estimated seconds to compile ``instructions`` on ``tier``
-        (never zero: an empty body is not free to compile either)."""
-        return max(instructions, 1) * self.seconds_per_instruction(tier)
+        """Seconds of run that pay for compiling ``instructions`` on
+        ``tier``: the estimated compile seconds (never zero: an empty
+        body is not free to compile either) times the tier's payback."""
+        return (max(instructions, 1) * self.seconds_per_instruction(tier)
+                * TIERS[tier].payback)
 
 
 #: The process-wide rates behind every tier-up estimate.
@@ -268,9 +274,6 @@ class EngineConfig:
     #: "off" (default), "warn" (Python warnings), or "strict"
     #: (:class:`~repro.errors.LintError` on any diagnostic).
     lint: str = "off"
-    #: Let TurboFan drop the per-access address mask when the interval
-    #: analysis proves the access in bounds of the declared memory minimum.
-    elide_bounds_checks: bool = True
     fault_injector: object = None   # a repro.robustness.FaultInjector
 
     def __post_init__(self):
@@ -281,11 +284,6 @@ class EngineConfig:
         if self.lint not in LINT_MODES:
             raise ConfigError(
                 f"unknown lint mode {self.lint!r}; have {LINT_MODES}"
-            )
-        if not isinstance(self.elide_bounds_checks, bool):
-            raise ConfigError(
-                f"elide_bounds_checks must be a bool, "
-                f"got {self.elide_bounds_checks!r}"
             )
 
 
@@ -306,8 +304,10 @@ class TierStats:
     #: Tier compilations that failed; each pins its function to a lower
     #: tier for the rest of the instance's life (V8's bailout).
     tier_up_failures: int = 0
-    #: Per-access bounds checks TurboFan statically proved away using the
-    #: interval analysis (summed over its compiled functions).
+    #: Always 0: TurboFan masks every memory access.  The field stays
+    #: because the frozen benchmark ledger's traced run reads it
+    #: (``benchmarks/ledger/layers.py``) and CI runs that traced smoke
+    #: step; it goes when the ledger stops reading it (ROADMAP item 1).
     bounds_checks_elided: int = 0
     #: Filtered-scan loops TurboFan split into a NumPy selection mask
     #: plus the scalar loop over the survivors
@@ -453,7 +453,7 @@ class Engine:
         if memory is not None and module.memories:
             # The host-provided memory plays the paper's SetModuleMemory()
             # role; it must satisfy the module's declared minimum or the
-            # analyses (and elision proofs) built on that minimum are lies.
+            # analyses built on that minimum are lies.
             declared_min = module.memories[0].minimum
             if memory.size_pages < declared_min:
                 raise ValidationError(
@@ -541,7 +541,6 @@ class Engine:
         stats, trace = instance.stats, instance.trace
         injector = self.config.fault_injector
         from_tier = current.tier if current is not None else "none"
-        elided = stats.bounds_checks_elided
         prefiltered = stats.loops_prefiltered
         failure = None
         start = _clock()
@@ -591,7 +590,6 @@ class Engine:
             trace_event(trace, "tier_up", function=func_index,
                         name=func.name, from_tier=from_tier,
                         to_tier=tier.name, **_decision(spent, cost),
-                        elided=stats.bounds_checks_elided - elided,
                         prefiltered=stats.loops_prefiltered - prefiltered)
             get_registry().counter(
                 "engine_tier_ups_total",

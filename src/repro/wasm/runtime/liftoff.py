@@ -52,9 +52,6 @@ class CompiledFunction:
     source: str
     entry: str
     code: object = field(repr=False, default=None)  # compiled code object
-    #: Memory accesses whose bounds check the compiler proved away
-    #: (always 0 for Liftoff, which never runs the range analysis).
-    bounds_checks_elided: int = 0
     #: TurboFan's split of the function's filtered-scan loop (a
     #: :class:`~repro.wasm.runtime.prefilter.PrefilterPlan`), if it is one.
     prefilter: object = None

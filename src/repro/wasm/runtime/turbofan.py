@@ -130,32 +130,8 @@ class TurboFanCompiler:
 
     tier_name = "turbofan"
 
-    def __init__(self, module: Module, elide_bounds_checks: bool = True):
+    def __init__(self, module: Module):
         self.module = module
-        self.elide_bounds_checks = elide_bounds_checks
-
-    def _analyze_bounds(self, func: Function):
-        """Interval analysis of ``func``: instruction offset -> access fact.
-
-        Returns ``(offsets, facts)``; both empty when elision is off, the
-        module has no memory to bound against, or the analysis gives up
-        (the elision is an optimization — failure must never fail the
-        compile, the masked form is always correct).
-        """
-        if not self.elide_bounds_checks or not self.module.memories:
-            return {}, {}
-        if self.module.memories[0].minimum < 1:
-            return {}, {}
-        try:
-            from repro.wasm.analysis.cfg import assign_offsets, build_cfg
-            from repro.wasm.analysis.ranges import analyze_ranges
-
-            offsets = assign_offsets(func.body)
-            cfg = build_cfg(self.module, func, offsets=offsets)
-            result = analyze_ranges(self.module, func, cfg=cfg)
-        except Exception:
-            return {}, {}
-        return offsets, result.facts
 
     # ------------------------------------------------------------------ api --
 
@@ -171,9 +147,6 @@ class TurboFanCompiler:
         self._fname = name
         self._nresults = len(func_type.results)
         self._pure_temps: set[str] = set()
-        self._offsets, self._facts = self._analyze_bounds(func)
-        self._cur_off: int | None = None
-        self._elided = 0
         em = self._em
 
         params = ", ".join(f"L{i}" for i in range(len(func_type.params)))
@@ -218,22 +191,15 @@ class TurboFanCompiler:
             raise CompilationError(
                 f"turbofan generated bad code for {name}: {exc}\n{source}"
             )
-        registry = get_registry()
-        registry.counter(
+        get_registry().counter(
             "wasm_functions_compiled_total",
             "Wasm functions compiled, by tier",
         ).inc(tier=self.tier_name)
-        if self._elided:
-            registry.counter(
-                "wasm_bounds_checks_elided_total",
-                "Per-access bounds checks proved away by TurboFan",
-            ).inc(self._elided)
         # instrumented code counts every row's instructions into the
         # profile: its loop is never split
         prefilter = None if instrumented else plan_prefilter(self.module,
                                                              func)
         return CompiledFunction(name, self.tier_name, source, entry, code,
-                                bounds_checks_elided=self._elided,
                                 prefilter=prefilter)
 
     # -------------------------------------------------------- emission helpers --
@@ -406,9 +372,8 @@ class TurboFanCompiler:
     def _compile_body(self, body: list, stack: list[_Val],
                       scopes: list[_Scope]) -> bool:
         """Compile instructions; returns False if the body ended dead."""
-        for pos, instr in enumerate(body):
+        for instr in body:
             op = instr[0]
-            self._cur_off = self._offsets.get((id(body), pos))
             self._count()
 
             if op == "local.get":
@@ -524,33 +489,13 @@ class TurboFanCompiler:
                 raise CompilationError(f"turbofan: unhandled op {op!r}")
         return True
 
-    def _access_provably_in_bounds(self, op: str, offset: int) -> bool:
-        """True when the interval analysis proved this access stays inside
-        the module's declared memory minimum, so the i32 address mask is
-        redundant.  Requires an *exact* non-negative range: exactness
-        guarantees the raw (wrap-deferred) expression equals the semantic
-        address, and ``lo >= 0`` rules out negative Python indexing
-        aliasing the end of the page list."""
-        fact = self._facts.get(self._cur_off)
-        if fact is None or fact.op != op or fact.imm_offset != offset:
-            return False
-        addr = fact.addr
-        if addr.bits != 32 or not addr.exact or addr.lo < 0:
-            return False
-        min_bytes = self.module.memories[0].minimum * 65536
-        return addr.hi + offset + fact.access_size <= min_bytes
-
     def _compile_load(self, op: str, offset: int, stack: list[_Val]) -> None:
         fmt = LOAD_FMT[op]
         addr = stack.pop()
         addr_src = addr.raw if not offset else f"{addr.raw} + {offset}"
         a = self._fresh("a")
         t = self._fresh()
-        if self._access_provably_in_bounds(op, offset):
-            self._elided += 1
-            self._emit(f"{a} = {addr_src}")
-        else:
-            self._emit(f"{a} = ({addr_src}) & 4294967295")
+        self._emit(f"{a} = ({addr_src}) & 4294967295")
         self._emit(f"e = _pages[{a} >> 16]")
         self._emit(f"{t} = _unpack_from({fmt!r}, e[0], e[1] + ({a} & 65535))[0]")
         if self._instrumented:
@@ -564,11 +509,7 @@ class TurboFanCompiler:
         addr = stack.pop()
         addr_src = addr.raw if not offset else f"{addr.raw} + {offset}"
         a = self._fresh("a")
-        if self._access_provably_in_bounds(op, offset):
-            self._elided += 1
-            self._emit(f"{a} = {addr_src}")
-        else:
-            self._emit(f"{a} = ({addr_src}) & 4294967295")
+        self._emit(f"{a} = ({addr_src}) & 4294967295")
         self._emit(f"e = _pages[{a} >> 16]")
         value_src = f"{value.raw} & {mask}" if mask is not None else value.src
         self._emit(f"_pack_into({fmt!r}, e[0], e[1] + ({a} & 65535), {value_src})")

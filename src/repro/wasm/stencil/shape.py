@@ -12,9 +12,8 @@ Its closures therefore depend on exactly:
 
 That dependency set is the *code shape*.  Everything else a module
 carries — data-segment payloads (query constants, strings), global
-initializers, export names, element segments, memory minimums, the
-optimizer's ``param_ranges``/``value_ranges`` hints — is instance or
-optimizer state and deliberately **excluded**, which is what makes the
+initializers, export names, element segments, memory minimums — is
+instance state and deliberately **excluded**, which is what makes the
 cache cross-query: two structurally identical queries over the same
 tables produce byte-identical code shapes even when their literals (in
 the constants region) differ, because the rewired address space lays

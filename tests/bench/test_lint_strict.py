@@ -3,9 +3,7 @@
 ``lint="strict"`` refuses to instantiate a module with any diagnostic
 (dead store, write-only local, unreachable code, provably-OOB access),
 so this suite pins the code generator to producing clean Wasm — lint
-noise gets fixed in ``backend/codegen.py``, not suppressed here.  It
-also checks that analysis-driven bounds-check elision fires on the
-query modules and never changes results.
+noise gets fixed in ``backend/codegen.py``, not suppressed here.
 """
 
 import pytest
@@ -35,21 +33,3 @@ def test_query_modules_pass_strict_lint(db, name):
     assert got == expected
     assert engine.lint == "strict"  # strict mode did instantiate
 
-
-def test_selection_query_elides_bounds_checks(db):
-    """q6 is the paper's selection microbenchmark: every scan access is
-    provably inside the declared memory, so TurboFan drops the masks."""
-    engine = strict_engine(db, mode="turbofan")
-    db.execute(QUERIES["q6"], engine="wasm")
-    assert engine.last_tier_stats.bounds_checks_elided > 0
-
-
-def test_elision_off_matches_elision_on(db):
-    for name in sorted(QUERIES):
-        expected = db.execute(QUERIES[name], engine="volcano").rows
-        engine = strict_engine(db, mode="turbofan",
-                               elide_bounds_checks=False)
-        got = db.execute(QUERIES[name], engine="wasm").rows
-        assert got == expected
-        assert engine.last_tier_stats.bounds_checks_elided == 0
-        engine.elide_bounds_checks = True

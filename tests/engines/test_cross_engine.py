@@ -406,3 +406,66 @@ class TestComposite:
             GROUP BY EXTRACT(YEAR FROM d)
             ORDER BY yr
         """)
+
+
+class TestIntegerEdges:
+    """Wasm's integer rule holds in every engine: ``+ - *`` and unary
+    ``-`` wrap to the result type's width, ``/`` and ``%`` truncate
+    toward zero, and a zero divisor or ``MIN / -1`` raises."""
+
+    SPECS = ALL_ENGINES + ["hyper[interp]", "hyper[o0]", "hyper[o2]",
+                           "wasm[interpreter]", "wasm[liftoff]",
+                           "wasm[turbofan]"]
+    MAX32, MAX64 = 2**31 - 1, 2**63 - 1
+
+    @pytest.fixture(scope="class")
+    def edge_db(self):
+        db = Database(default_engine="volcano")
+        db.execute("CREATE TABLE t (a INT, b BIGINT)")
+        db.execute(f"INSERT INTO t VALUES ({self.MAX32}, {self.MAX64}),"
+                   f" ({-self.MAX32 - 1}, {-self.MAX64 - 1})")
+        db.execute("CREATE TABLE z (a INT, b BIGINT)")
+        db.execute("INSERT INTO z VALUES (5, 7), (0, 0)")
+        return db
+
+    def rows_everywhere(self, db, sql):
+        results = {spec: db.execute(sql, engine=spec).rows
+                   for spec in self.SPECS}
+        assert len({repr(rows) for rows in results.values()}) == 1, results
+        return results["volcano"]
+
+    def raises_everywhere(self, db, sql, message):
+        for spec in self.SPECS:
+            with pytest.raises(Exception, match=message):
+                db.execute(sql, engine=spec)
+
+    def test_add_mul_neg_wrap(self, edge_db):
+        rows = self.rows_everywhere(
+            edge_db, "SELECT a + 1, b + 1, a * 2, b * 2, -a, -b FROM t")
+        lo32, lo64 = -self.MAX32 - 1, -self.MAX64 - 1
+        assert rows == [(lo32, lo64, -2, -2, -self.MAX32, -self.MAX64),
+                        (lo32 + 1, lo64 + 1, 0, 0, lo32, lo64)]
+
+    def test_div_rem_truncate_at_min(self, edge_db):
+        rows = self.rows_everywhere(
+            edge_db, "SELECT a % 3, a / 3, b % 3, b / 3 FROM t")
+        assert rows[1] == (-2, -715827882, -2, -3074457345618258602)
+
+    def test_min_rem_minus_one_is_zero(self, edge_db):
+        assert self.rows_everywhere(
+            edge_db, "SELECT a % -1, b % -1 FROM t") == [(0, 0), (0, 0)]
+
+    @pytest.mark.parametrize("sql", ["SELECT a / -1 FROM t",
+                                     "SELECT b / -1 FROM t"])
+    def test_min_div_minus_one_raises(self, edge_db, sql):
+        self.raises_everywhere(edge_db, sql, "integer overflow")
+
+    @pytest.mark.parametrize("sql", ["SELECT b / a FROM z",
+                                     "SELECT b % a FROM z"])
+    def test_zero_divisor_raises(self, edge_db, sql):
+        self.raises_everywhere(edge_db, sql, "integer divi(de|sion) by zero")
+
+    def test_guarded_division_sees_no_zero(self, edge_db):
+        assert self.rows_everywhere(
+            edge_db, "SELECT CASE WHEN a = 0 THEN -1 ELSE b / a END FROM z"
+        ) == [(1,), (-1,)]

@@ -4,7 +4,7 @@ from functools import reduce
 
 from hypothesis import given, settings, strategies as st
 
-from repro.plan.exprs import AGGREGATES, wrap64
+from repro.plan.exprs import AGGREGATES, wrap_int
 from repro.sql import types as T
 
 I64_MIN, I64_MAX = -(1 << 63), (1 << 63) - 1
@@ -20,7 +20,7 @@ def fold(row, values):
         acc = f.identity(T.INT64)
         for v in values:
             acc = f.step(acc, v)
-        state.append(wrap64(acc))
+        state.append(wrap_int(acc))
     return state
 
 

@@ -276,16 +276,6 @@ class TestAnalyzePlan:
         named = dict(analysis.column_facts)
         assert named["c"].constant and named["c"].lo == 3
 
-    def test_scan_facts_are_stats_only(self, db):
-        """Codegen hints must never absorb predicate refinement: loads
-        read every stored row before the filter runs."""
-        analysis = analysis_for(db, "SELECT x FROM r WHERE x > 5")
-        assert analysis.scan_facts["r"]["x"] == (0, 9)
-
-    def test_scan_facts_skip_string_columns(self, db):
-        analysis = analysis_for(db, "SELECT name FROM r")
-        assert "name" not in analysis.scan_facts.get("r", {})
-
     def test_empty_table_scan_is_empty(self):
         database = Database(default_engine="volcano")
         database.execute("CREATE TABLE e (a INT)")

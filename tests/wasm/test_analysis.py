@@ -1,11 +1,8 @@
-"""Tests of the static-analysis framework and bounds-check elision.
+"""Tests of the static-analysis framework behind the module linter.
 
 Covers the whole pipeline: preorder offsets, CFG construction, the
 interval (range) analysis with its branch refinement, local liveness,
-the :class:`ModuleLinter` diagnostics, the ``lint`` engine mode, and
-TurboFan's analysis-driven bounds-check elision (both that provable
-accesses lose their mask and — the regression half — that non-provable
-accesses keep it).
+the :class:`ModuleLinter` diagnostics and the ``lint`` engine mode.
 """
 
 import struct
@@ -22,29 +19,32 @@ from repro.wasm.analysis import (
     assign_offsets,
     build_cfg,
 )
+from repro.wasm.analysis.ranges import INT_RANGE
 from repro.wasm.runtime import Engine, EngineConfig, LinearMemory
-from repro.wasm.runtime.turbofan import TurboFanCompiler
-
-from tests.wasm.conftest import assert_all_modes_agree
-
-MASK = "& 4294967295"
 
 
-def scan_module(hint=True, pages=2, n_rows=1000):
+def scan_module(pages=2, n_rows=1000, bounded=False):
     """The paper-shaped morsel loop: ``scan(begin, end)`` sums an i32
-    column mapped at address 256, one load per row."""
+    column mapped at address 256, one load per row.  ``bounded`` runs
+    the loop over the constant window ``[0, n_rows)`` instead."""
     mb = ModuleBuilder("m")
     mb.add_memory(pages, pages)
     fb = mb.function("scan", params=[("i32", "begin"), ("i32", "end")],
                      results=["i32"], export=True)
-    if hint:
-        fb.param_range(0, 0, n_rows).param_range(1, 0, n_rows)
     row = fb.local("i32", "row")
     acc = fb.local("i32", "acc")
-    fb.get(0).set(row)
+    if bounded:
+        fb.i32(0).set(row)
+    else:
+        fb.get(0).set(row)
     with fb.block() as done:
         with fb.loop() as top:
-            fb.get(row).get(1).emit("i32.ge_s")
+            fb.get(row)
+            if bounded:
+                fb.i32(n_rows)
+            else:
+                fb.get(1)
+            fb.emit("i32.ge_s")
             fb.br_if(done)
             fb.get(acc)
             fb.get(row).i32(4).emit("i32.mul")
@@ -122,7 +122,9 @@ class TestOffsetsAndCfg:
 
 class TestRangeAnalysis:
     def test_scan_loop_address_is_bounded_and_exact(self):
-        module = scan_module(n_rows=1000)
+        """Branch refinement pins the constant-bounded loop's address to
+        exactly the rows it reads."""
+        module = scan_module(n_rows=1000, bounded=True)
         func = module.functions[0]
         result = analyze_ranges(module, func)
         facts = list(result.facts.values())
@@ -130,20 +132,20 @@ class TestRangeAnalysis:
         fact = facts[0]
         assert fact.op == "i32.load"
         assert fact.imm_offset == 256
-        # guard refinement: row < end <= 1000, so addr = row*4 in [0,3996]
+        # guard refinement: 0 <= row < 1000, so addr = row*4 in [0, 3996]
         assert fact.addr.lo == 0
         assert fact.addr.hi == 3996
-        assert fact.addr.exact
 
     def test_without_hints_address_is_unbounded(self):
-        module = scan_module(hint=False)
+        module = scan_module()
         func = module.functions[0]
         result = analyze_ranges(module, func)
         (fact,) = result.facts.values()
-        # no contract on `end`: the row index may be anything
+        # nothing bounds `end`: the row index may be anything
         assert fact.addr.hi + fact.imm_offset + fact.access_size > 2 * 65536
 
     def test_wrapping_arithmetic_loses_exactness(self):
+        """A ring op that may wrap widens to the whole type range."""
         mb = ModuleBuilder("m")
         mb.add_memory(1, 1)
         fb = mb.function("f", params=[("i32", "x")], results=["i32"],
@@ -153,7 +155,7 @@ class TestRangeAnalysis:
         module = mb.finish()
         result = analyze_ranges(module, module.functions[0])
         (fact,) = result.facts.values()
-        assert not fact.addr.exact
+        assert (fact.addr.lo, fact.addr.hi) == INT_RANGE[32]
 
     def test_constant_address_fact(self):
         mb = ModuleBuilder("m")
@@ -259,159 +261,18 @@ class TestEngineLint:
 
 
 # ---------------------------------------------------------------------------
-# bounds-check elision
-# ---------------------------------------------------------------------------
-
-def _address_lines(source):
-    return [line for line in source.splitlines()
-            if line.lstrip().startswith("a") and " = " in line
-            and "_pages" not in line]
-
-
-class TestBoundsCheckElision:
-    def compile_scan(self, module, **kwargs):
-        return TurboFanCompiler(module, **kwargs).compile(
-            module.functions[0], 0)
-
-    def test_provable_access_drops_the_mask(self):
-        compiled = self.compile_scan(scan_module())
-        assert compiled.bounds_checks_elided == 1
-        (addr_line,) = _address_lines(compiled.source)
-        assert MASK not in addr_line
-
-    def test_non_provable_access_keeps_the_mask(self):
-        # regression: without the param contract nothing bounds the row
-        compiled = self.compile_scan(scan_module(hint=False))
-        assert compiled.bounds_checks_elided == 0
-        (addr_line,) = _address_lines(compiled.source)
-        assert MASK in addr_line
-
-    def test_elision_can_be_disabled(self):
-        compiled = self.compile_scan(scan_module(),
-                                     elide_bounds_checks=False)
-        assert compiled.bounds_checks_elided == 0
-        assert MASK in compiled.source
-
-    def test_access_past_the_minimum_keeps_the_mask(self):
-        # range is provable but exceeds the declared minimum: 1 page
-        # cannot contain row 999 * 4 + 256 + 4 bytes... it can (3996+260
-        # < 65536); shrink to make it not provable instead
-        module = scan_module(pages=1, n_rows=20000)
-        compiled = self.compile_scan(module)
-        assert compiled.bounds_checks_elided == 0
-        assert MASK in compiled.source
-
-    def test_elided_code_computes_the_same_sums(self):
-        module = scan_module()
-        for begin, end in [(0, 0), (0, 1000), (17, 693), (999, 1000)]:
-            expected = sum(range(begin, end))
-            outcome = assert_all_modes_agree(module, "scan", (begin, end))
-            assert outcome == ("ok", expected)
-
-    def test_stats_counter_reaches_the_instance(self):
-        engine = Engine(EngineConfig(mode="turbofan"))
-        instance = engine.instantiate(scan_module())
-        assert instance.stats.bounds_checks_elided == 1
-        assert instance.invoke("scan", 0, 100) == sum(range(100))
-
-    def test_adaptive_tier_up_counts_elisions(self, tier_clock):
-        tier_clock.promote_after(turbofan=2)
-        engine = Engine(EngineConfig(mode="adaptive"))
-        instance = engine.instantiate(scan_module())
-        for _ in range(4):
-            instance.invoke("scan", 0, 10)
-        assert instance.stats.tier_ups == 1
-        assert instance.stats.bounds_checks_elided == 1
-
-
-# ---------------------------------------------------------------------------
-# value_range load contracts
-# ---------------------------------------------------------------------------
-
-def seek_module(hint=True, n_rows=16):
-    """The index-seek shape: a loaded row id addresses a second load.
-
-    Nothing in the code bounds the inner address — only the host's
-    ``value_range`` contract on the row-id load (the permutation array
-    only holds values in ``[0, n_rows)``) makes the second access
-    provable."""
-    mb = ModuleBuilder("m")
-    mb.add_memory(1, 1)
-    fb = mb.function("seek", params=[("i32", "pos")], results=["i32"],
-                     export=True)
-    fb.param_range(0, 0, n_rows - 1)
-    fb.get(0).i32(4).emit("i32.mul")
-    fb.load("i32", 0)                 # rowid = mem[pos*4]
-    if hint:
-        fb.value_range(0, n_rows - 1)
-    fb.i32(4).emit("i32.mul")
-    fb.load("i32", 256)               # value = mem[rowid*4 + 256]
-    rowids = [(i * 7) % n_rows for i in range(n_rows)]
-    mb.add_data(0, struct.pack(f"<{n_rows}i", *rowids))
-    mb.add_data(256, struct.pack(f"<{n_rows}i", *range(0, n_rows * 10, 10)))
-    return mb.finish()
-
-
-class TestValueRangeContracts:
-    def test_builder_converts_to_preorder_offsets(self):
-        module = seek_module()
-        # body: local.get=0 const=1 mul=2 load=3 const=4 mul=5 load=6
-        assert module.functions[0].value_ranges == {3: (0, 15)}
-
-    def test_empty_range_rejected(self):
-        mb = ModuleBuilder("m")
-        fb = mb.function("f", results=["i32"])
-        fb.i32(0).load("i32")
-        with pytest.raises(Exception):
-            fb.value_range(5, 4)
-
-    def test_range_needs_a_preceding_instruction(self):
-        mb = ModuleBuilder("m")
-        fb = mb.function("f")
-        with pytest.raises(Exception):
-            fb.value_range(0, 1)
-
-    def test_hinted_load_bounds_the_dependent_address(self):
-        module = seek_module()
-        result = analyze_ranges(module, module.functions[0])
-        (dep,) = [f for f in result.facts.values() if f.imm_offset == 256]
-        assert (dep.addr.lo, dep.addr.hi) == (0, 60)
-        assert dep.addr.exact
-
-    def test_without_hint_dependent_address_is_unbounded(self):
-        module = seek_module(hint=False)
-        result = analyze_ranges(module, module.functions[0])
-        (dep,) = [f for f in result.facts.values() if f.imm_offset == 256]
-        assert dep.addr.hi + dep.imm_offset + dep.access_size > 65536
-
-    def test_hint_unlocks_elision_of_the_dependent_access(self):
-        hinted = TurboFanCompiler(seek_module()).compile(
-            seek_module().functions[0], 0)
-        bare_module = seek_module(hint=False)
-        bare = TurboFanCompiler(bare_module).compile(
-            bare_module.functions[0], 0)
-        assert hinted.bounds_checks_elided == 2   # rowid + value loads
-        assert bare.bounds_checks_elided == 1     # rowid load only
-
-    def test_hinted_module_agrees_with_checked_tiers(self):
-        module = seek_module()
-        for pos in range(16):
-            outcome = assert_all_modes_agree(module, "seek", (pos,))
-            assert outcome == ("ok", ((pos * 7) % 16) * 10)
-
-
-# ---------------------------------------------------------------------------
 # dead-arm diagnostics
 # ---------------------------------------------------------------------------
 
 def dead_arm_module(op="if"):
     """A branch whose condition the interval analysis proves constant:
-    the parameter is contracted to [0, 10], so ``x < 20`` is always 1."""
+    the local is set to 10 right before it, so ``x < 20`` is always 1."""
     mb = ModuleBuilder("m")
-    fb = mb.function("f", params=[("i32", "x")], results=["i32"],
+    fb = mb.function("f", params=[("i32", "y")], results=["i32"],
                      export=True)
-    fb.param_range(0, 0, 10)
-    fb.get(0).i32(20).emit("i32.lt_s")
+    x = fb.local("i32", "x")
+    fb.i32(10).set(x)
+    fb.get(x).i32(20).emit("i32.lt_s")
     if op == "if":
         with fb.if_(["i32"]) as branch:
             fb.i32(1)
@@ -431,7 +292,7 @@ class TestDeadArmLint:
         assert len(diags) == 1
         (diag,) = diags
         assert diag.severity == "info"
-        assert diag.offset == 3  # the `if` instruction
+        assert diag.offset == 5  # the `if` instruction
         assert "always 1" in diag.message
         assert "else arm" in diag.message
 

@@ -7,11 +7,9 @@ to stress the paths the optimizing tier rewrites:
 
 * **expressions** — random i32/i64 operator trees (constant folding,
   wrap elision, comparison lowering, trapping division);
-* **scan loops** — the paper's morsel shape with ``param_range`` hints
-  and in-bounds loads, so TurboFan's bounds-check *elision* runs against
-  the interpreter's checked accesses;
-* **memory round-trips** — masked random addresses, store then load, so
-  non-elidable (masked) accesses are covered too.
+* **scan loops** — the paper's morsel shape: a ``[begin, end)`` row
+  loop of in-bounds loads, whose address arithmetic TurboFan rewrites;
+* **memory round-trips** — masked random addresses, store then load.
 
 Over 200 (module, arguments) cases run per test session; seeds are
 fixed, so failures reproduce.
@@ -83,7 +81,7 @@ def _expression_module(rng):
 
 
 def _scan_module(rng):
-    """A hinted morsel loop (TurboFan elides its bounds checks)."""
+    """A morsel loop summing one i32 column over rows [begin, end)."""
     n_rows = rng.randrange(8, 64)
     stride = rng.choice((4, 8))
     base = rng.randrange(0, 64) * 8
@@ -91,7 +89,6 @@ def _scan_module(rng):
     mb.add_memory(1, 1)
     fb = mb.function("main", params=[("i32", "begin"), ("i32", "end")],
                      results=["i32"], export=True)
-    fb.param_range(0, 0, n_rows).param_range(1, 0, n_rows)
     row = fb.local("i32", "row")
     acc = fb.local("i32", "acc")
     fb.get(0).set(row)
@@ -146,7 +143,7 @@ class TestDifferentialFuzz:
                 cases += 1
         assert cases == 120
 
-    def test_hinted_scan_loops(self):
+    def test_scan_loops(self):
         rng = random.Random(0x5CA7)
         cases = 0
         for _ in range(25):

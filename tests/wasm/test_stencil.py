@@ -324,13 +324,13 @@ class TestLadder:
                                    "to_tier": "liftoff",
                                    "spent_ms": 2000.0,
                                    "estimated_compile_ms": 2000.0,
-                                   "elided": 0, "prefiltered": 0}
+                                   "prefiltered": 0}
         assert events[1].attrs == {"function": 0, "name": "main",
                                    "from_tier": "liftoff",
                                    "to_tier": "turbofan",
                                    "spent_ms": 4000.0,
                                    "estimated_compile_ms": 4000.0,
-                                   "elided": 0, "prefiltered": 0}
+                                   "prefiltered": 0}
 
     def test_failed_promotion_pins_the_stencil_tier(self, tier_clock):
         tier_clock.promote_after(liftoff=2, turbofan=4)

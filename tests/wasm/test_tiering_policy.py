@@ -134,10 +134,11 @@ class TestCostMeter:
         burner = Burner(clock)
         liftoff = burner.estimate("liftoff")
         turbofan = burner.estimate("turbofan")
-        assert liftoff < turbofan < 3 * liftoff  # the seeds: 18 vs 50 us
+        # the seeds: 18 us vs 28 us paid back 1.5 times
+        assert 2.2 * liftoff < turbofan <= 3.3 * liftoff
         burner.cost = 1.1 * liftoff
         assert burner.call(2) == "liftoff"   # 1.1 on the meter
-        assert burner.call() == "liftoff"    # enters with 2.2 < 2.78
+        assert burner.call() == "liftoff"    # enters with 2.2 < 2.33
         assert burner.call() == "turbofan"   # enters with 3.3
         assert burner.instance.stats.tier_ups == 2
 
@@ -210,8 +211,7 @@ class TestCallMeter:
         assert event.attrs == {
             "function": 1, "name": "work", "from_tier": "liftoff",
             "to_tier": "turbofan", "spent_ms": 3000.0,
-            "estimated_compile_ms": 3000.0, "elided": 0,
-            "prefiltered": 0,
+            "estimated_compile_ms": 3000.0, "prefiltered": 0,
         }
 
 
