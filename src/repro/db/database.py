@@ -30,7 +30,6 @@ from repro.errors import (
     ConfigError,
     EngineError,
     LintError,
-    ReproError,
     WorkerError,
 )
 from repro.observability.explain import (
@@ -54,9 +53,9 @@ from repro.plan.physical import (
 from repro.plan.pipeline import dissect_into_pipelines
 from repro.sql import ast
 from repro.robustness.fallback import (
-    FallbackPolicy,
-    execute_with_fallback,
+    DEFAULT_CHAIN,
     parse_engine_spec,
+    run_route,
 )
 from repro.sql.analyzer import analyze
 from repro.sql.parser import parse
@@ -75,15 +74,14 @@ class Database:
             ladder (stencil -> Liftoff -> TurboFan), whose tier-0 entry
             makes cold first results cheapest while hot pipelines still
             climb to optimized code.
-        fallback: the degradation policy.  ``None`` (default) disables
+        fallback: the fallback chain, kept as the tuple of engine specs
+            :attr:`fallback`.  ``None`` (default) or ``()`` disables
             fallback — errors surface exactly as the failing engine
-            raised them.  ``"default"`` (or ``True``) enables the chain
+            raised them.  ``"default"`` (or ``True``) is
+            :data:`~repro.robustness.DEFAULT_CHAIN`,
             ``wasm[adaptive_stencil] → wasm[interpreter] → volcano``; a
-            list/tuple of
-            engine specs or a :class:`~repro.robustness.FallbackPolicy`
-            customizes it.
-        max_attempts: retry budget per query (primary attempt included);
-            only meaningful together with ``fallback``.
+            list/tuple of engine specs customizes it.  A statement's
+            route (:meth:`route`) is its own spec, then this chain.
         plan_lint: PlanLinter mode over every planned SELECT —
             ``"off"`` (default), ``"warn"`` (diagnostics become Python
             warnings), or ``"strict"`` (diagnostics raise
@@ -103,8 +101,7 @@ class Database:
     PLAN_LINT_MODES = ("off", "warn", "strict")
 
     def __init__(self, default_engine: str = "wasm[adaptive_stencil]",
-                 fallback=None, max_attempts: int | None = None,
-                 plan_lint: str = "off", workers: int = 0):
+                 fallback=None, plan_lint: str = "off", workers: int = 0):
         from repro.engines import ENGINES
 
         if plan_lint not in self.PLAN_LINT_MODES:
@@ -114,10 +111,18 @@ class Database:
             )
         if workers < 0:
             raise ConfigError(f"workers must be >= 0, got {workers}")
+        if fallback is True or fallback == "default":
+            fallback = DEFAULT_CHAIN
+        if not isinstance(fallback, (list, tuple, type(None), bool)):
+            raise ConfigError(f"fallback must be None, 'default' or a "
+                              f"chain of engine specs; got {fallback!r}")
+        #: the fallback chain, a tuple of engine specs; ``()`` is off
+        self.fallback = tuple(fallback or ())
+        for spec in self.fallback:
+            parse_engine_spec(spec)
         self.catalog = Catalog()
         self._engines = {name: cls() for name, cls in ENGINES.items()}
         self.default_engine = default_engine
-        self.fallback = self._normalize_fallback(fallback, max_attempts)
         self.plan_lint = plan_lint
         self.workers = workers
         self._parallel = None  # lazy ParallelExecutor; see .parallel
@@ -129,20 +134,10 @@ class Database:
             "query_seconds", "End-to-end query time (engine phases)"
         )
 
-    @staticmethod
-    def _normalize_fallback(fallback, max_attempts: int | None = None):
-        if fallback is None or fallback is False:
-            return None
-        if isinstance(fallback, FallbackPolicy):
-            return fallback
-        if fallback is True or fallback == "default":
-            return FallbackPolicy(max_attempts=max_attempts)
-        if isinstance(fallback, (list, tuple)):
-            return FallbackPolicy(chain=fallback, max_attempts=max_attempts)
-        raise ConfigError(
-            f"fallback must be None, 'default', a chain of engine specs, "
-            f"or a FallbackPolicy; got {fallback!r}"
-        )
+    def route(self, spec: str) -> tuple[str, ...]:
+        """The engine specs a statement on ``spec`` tries, in order:
+        ``spec`` itself, then the fallback chain without it."""
+        return (spec, *(s for s in self.fallback if s != spec))
 
     # -- multi-core execution ----------------------------------------------
 
@@ -280,17 +275,15 @@ class Database:
         return trace  # a QueryTrace (possibly on a fake clock)
 
     def execute(self, sql: str, engine: str | None = None,
-                profile: Profile | None = None, fallback=...,
-                trace=None):
+                profile: Profile | None = None, trace=None):
         """Parse, plan, and run one SQL statement.
 
         SELECT returns an :class:`~repro.engines.base.ExecutionResult`;
         DDL/DML return None.
 
         ``engine`` is an engine spec (``"wasm"``, ``"wasm[turbofan]"``,
-        ``"volcano"``, ...).  ``fallback`` overrides the database-level
-        degradation policy for this statement (same accepted values as
-        the constructor argument); omit it to inherit.
+        ``"volcano"``, ...); a SELECT runs on its :meth:`route`, falling
+        back along the database's chain when an attempt fails.
 
         ``trace`` requests a structured trace of the whole query
         lifecycle: pass ``True`` for a fresh
@@ -324,27 +317,11 @@ class Database:
 
         with trace_span(qtrace, "plan"):
             plan = self.plan(stmt, trace=qtrace)
-        policy = self.fallback if fallback is ... \
-            else self._normalize_fallback(fallback)
-        primary = engine or self.default_engine
-        specs = [primary] if policy is None \
-            else policy.attempts_for(primary)
-
-        def run_one(spec):
-            trace_event(qtrace, "engine.attempt", engine=spec)
-            try:
-                return self.run_plan(
-                    plan, spec, QueryRun(profile=profile, trace=qtrace))
-            except ReproError as err:
-                trace_event(qtrace, "engine.attempt_failed", engine=spec,
-                            error=type(err).__name__)
-                raise
-
-        result, failures = execute_with_fallback(specs, run_one)
-        result.fallback_attempts = [
-            (spec, f"{type(err).__name__}: {err}") for spec, err in failures
-        ]
-        return result
+        return run_route(
+            self.route(engine or self.default_engine),
+            lambda spec: self.run_plan(
+                plan, spec, QueryRun(profile=profile, trace=qtrace)),
+            qtrace)
 
     #: What :meth:`apply_write` takes: whatever changes catalog or data.
     WRITE_STATEMENTS = (ast.CreateTable, ast.CreateIndex, ast.Insert)
@@ -392,11 +369,13 @@ class Database:
         filled in as ``result.run``.  With a worker pool and a Wasm spec
         the pool goes first (:meth:`_try_parallel`); when it declines
         the plan runs in-process — re-running the caller's cached
-        ``executable``, else compiling from scratch.  A caching caller
-        (it passed its ``decision``) without an executable, because the
-        workers were to compile the plan, gets one compiled here once
-        the pool degrades: ``run.prepared``.  The result is tagged with
-        the requested spec and counted in ``queries_total``.
+        ``executable``, else from scratch on the engine — with ``run``'s
+        deadline, cancel token and turnstile checked either way.  A
+        caching caller (it passed its ``decision``) without an
+        executable, because the workers were to compile the plan, gets
+        one compiled here once the pool degrades: ``run.prepared``.  The
+        result is tagged with the requested spec and counted in
+        ``queries_total``.
         """
         engine = self.resolve_engine(spec)
         result = None
@@ -414,8 +393,8 @@ class Database:
         else:
             if run.param_values is not None:
                 bind_params(collect_params(plan), run.param_values)
-            result = engine.execute(plan, self.catalog,
-                                    profile=run.profile, trace=run.trace)
+            result = engine.execute(plan, self.catalog, run.profile,
+                                    run.trace, run=run)
         result.engine = spec  # report the variant, e.g. wasm[interpreter]
         result.trace = run.trace
         self._queries_total.inc(engine=spec)

@@ -8,6 +8,7 @@ from dataclasses import dataclass, field
 from repro.catalog.catalog import Catalog
 from repro.costmodel import Profile, cost_report
 from repro.plan.physical import PhysicalOperator
+from repro.robustness.governor import ResourceGovernor
 from repro.sql.types import DataType
 
 __all__ = ["Timings", "ExecutionResult", "QueryEngine", "Stopwatch"]
@@ -153,11 +154,52 @@ class QueryEngine:
     #: The code tiers this engine's functions climb, lowest first; empty
     #: for engines without a ladder (nothing to guard with a breaker).
     tier_ladder: tuple[str, ...] = ()
+    #: A :class:`~repro.robustness.FaultInjector` (the Wasm engine's
+    #: knob), checked at the ``trap.morsel`` site of :meth:`run_gate`.
+    fault_injector = None
 
     def execute(self, plan: PhysicalOperator, catalog: Catalog,
                 profile: Profile | None = None,
-                trace=None) -> ExecutionResult:
+                trace=None, run=None) -> ExecutionResult:
+        """Run ``plan``.  ``run``, a
+        :class:`~repro.engines.wasm_engine.QueryRun` with this
+        ``profile`` and ``trace``, arms what the caller wants checked
+        while the plan runs: its cancel token, its deadline and the
+        scheduler's turnstile (:meth:`run_gate`)."""
         raise NotImplementedError
+
+    def run_gate(self, run):
+        """The per-morsel prologue of ``run``, composed once from what
+        is armed — cancellation, the governor's clock (one is made from
+        ``run.deadline`` when the run has none), the engine's
+        ``trap.morsel`` fault site, the scheduler's turnstile, in that
+        order — as ``gate(pipeline_index=None, morsel=None)``.  Wasm and
+        hyper call it before each morsel, volcano every few scanned
+        rows, vectorized before each operator.  ``None`` when nothing
+        is armed, so an unarmed run pays for no check at all."""
+        if run is None:
+            return None
+        if run.governor is None and run.deadline is not None:
+            run.governor = ResourceGovernor(deadline=run.deadline).start()
+            run.governor.phase, run.governor.trace = "execution", run.trace
+        token, governor = run.cancel_token, run.governor
+        injector, hook = self.fault_injector, run.morsel_hook
+        checks = [check for armed, check in (
+            (token is not None, lambda p, m: token.raise_if_cancelled(
+                phase="execution", pipeline_index=p, morsel=m)),
+            (governor is not None and governor.timed,
+             lambda p, m: governor.check(pipeline_index=p, morsel=m)),
+            (injector is not None,
+             lambda p, m: injector.check("trap.morsel", run.trace)),
+            (hook is not None, lambda p, m: hook()),
+        ) if armed]
+        if not checks:
+            return None
+
+        def gate(pipeline_index=None, morsel=None):
+            for check in checks:
+                check(pipeline_index, morsel)
+        return gate
 
     def prepare_executable(self, plan: PhysicalOperator, catalog: Catalog,
                            run=None):

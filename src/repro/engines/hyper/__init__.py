@@ -226,7 +226,7 @@ class HyperEngine(QueryEngine):
 
     def execute(self, plan: P.PhysicalOperator, catalog: Catalog,
                 profile: Profile | None = None,
-                trace=None) -> ExecutionResult:
+                trace=None, run=None) -> ExecutionResult:
         if isinstance(plan, P.EmptyResult):
             return self.execute_folded(plan, profile, trace)
         timings = Timings()
@@ -294,11 +294,12 @@ class HyperEngine(QueryEngine):
         with Stopwatch(timings, "execution"), \
                 trace_span(trace, "execution", engine=self.name):
             switched = 0
+            gate = self.run_gate(run)
             for info in program.pipelines:
                 switched += self._run_pipeline(
                     info, library, interpreter, bytecodes,
                     o0_fns, o2_fns, o2_seconds, row_counts,
-                    plan, catalog,
+                    plan, catalog, gate,
                 )
         if profile is not None:
             profile.add("adaptive_switches", switched)
@@ -312,7 +313,7 @@ class HyperEngine(QueryEngine):
 
     def _run_pipeline(self, info, library, interpreter, bytecodes,
                       o0_fns, o2_fns, o2_seconds: float,
-                      row_counts: dict, plan, catalog) -> int:
+                      row_counts: dict, plan, catalog, gate) -> int:
         if info.source_kind == "indexseek":
             table = self._table_for(plan, catalog, info.source_name)
             key, low, high, lstrict, hstrict = info.seek
@@ -326,6 +327,8 @@ class HyperEngine(QueryEngine):
         switched = 0
         exec_start = time.perf_counter()
         while begin < total:
+            if gate is not None:
+                gate()
             end = min(begin + self.morsel_size, total)
             if self.mode == "o0":
                 o0_fns[name](begin, end)

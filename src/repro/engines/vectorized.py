@@ -96,6 +96,8 @@ class _Evaluator:
 
     def __init__(self, profile: Profile | None):
         self.profile = profile
+        #: checked before each operator runs (``QueryEngine.run_gate``)
+        self.gate = None
 
     def _kernel(self, site: str, n: int) -> None:
         if self.profile is not None:
@@ -265,11 +267,12 @@ class VectorizedEngine(QueryEngine):
 
     def execute(self, plan: P.PhysicalOperator, catalog: Catalog,
                 profile: Profile | None = None,
-                trace=None) -> ExecutionResult:
+                trace=None, run=None) -> ExecutionResult:
         if isinstance(plan, P.EmptyResult):
             return self.execute_folded(plan, profile, trace)
         timings = Timings()
         evaluator = _Evaluator(profile)
+        evaluator.gate = self.run_gate(run)
         with Stopwatch(timings, "execution"), \
                 trace_span(trace, "execution", engine=self.name):
             chunk = self._run(plan, catalog, evaluator)
@@ -286,6 +289,8 @@ class VectorizedEngine(QueryEngine):
 
     def _run(self, op: P.PhysicalOperator, catalog: Catalog,
              ev: _Evaluator) -> _Chunk:
+        if ev.gate is not None:
+            ev.gate()
         if isinstance(op, P.SeqScan):
             table = catalog.get(op.table_name)
             columns = [table.column(name).values for name in op.columns]

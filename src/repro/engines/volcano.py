@@ -46,11 +46,17 @@ class _Iterator:
             self.profile.virtual_calls += 1
 
 
+#: Scanned rows between two checks of a run's gate (cancellation,
+#: deadline, the scheduler's turnstile); a power of two.
+GATE_ROWS = 1024
+
+
 class _ScanIterator(_Iterator):
-    def __init__(self, op: P.SeqScan, table, profile):
+    def __init__(self, op: P.SeqScan, table, profile, gate=None):
         super().__init__(profile)
         self.op = op
         self.table = table
+        self._gate = gate
         self._row = 0
         self._count = table.row_count
         # .tolist() converts to plain Python values once, up front
@@ -71,6 +77,8 @@ class _ScanIterator(_Iterator):
         if self._row >= self._count:
             raise StopIteration
         i = self._row
+        if self._gate is not None and not i & (GATE_ROWS - 1):
+            self._gate()
         self._row += 1
         return tuple(col[i] for col in self._columns)
 
@@ -79,9 +87,10 @@ class _IndexSeekIterator(_Iterator):
     """Range scan through an ordered index: positions resolve once at
     open(); rows come back in key order (random access by row id)."""
 
-    def __init__(self, op: P.IndexSeek, table, profile):
+    def __init__(self, op: P.IndexSeek, table, profile, gate=None):
         super().__init__(profile)
         self.op = op
+        self._gate = gate
         index = table.index_on(op.key_column)
         self._lo, self._hi = index.positions(
             op.low, op.high, op.low_strict, op.high_strict
@@ -103,6 +112,9 @@ class _IndexSeekIterator(_Iterator):
         self._tick()
         if self._pos >= self._hi:
             raise StopIteration
+        if self._gate is not None \
+                and not (self._pos - self._lo) & (GATE_ROWS - 1):
+            self._gate()
         row_id = int(self._row_ids[self._pos])
         self._pos += 1
         return tuple(col[row_id] for col in self._columns)
@@ -352,13 +364,13 @@ class VolcanoEngine(QueryEngine):
 
     def execute(self, plan: P.PhysicalOperator, catalog: Catalog,
                 profile: Profile | None = None,
-                trace=None) -> ExecutionResult:
+                trace=None, run=None) -> ExecutionResult:
         if isinstance(plan, P.EmptyResult):
             return self.execute_folded(plan, profile, trace)
         timings = Timings()
         with Stopwatch(timings, "translation"), \
                 trace_span(trace, "translation", engine=self.name):
-            root = self._build(plan, catalog, profile)
+            root = self._build(plan, catalog, profile, self.run_gate(run))
         with Stopwatch(timings, "execution"), \
                 trace_span(trace, "execution", engine=self.name):
             root.open()
@@ -371,48 +383,51 @@ class VolcanoEngine(QueryEngine):
         return result
 
     def _build(self, op: P.PhysicalOperator, catalog: Catalog,
-               profile) -> _Iterator:
+               profile, gate) -> _Iterator:
+        """The iterator tree of ``op``; its scans call ``gate`` every
+        :data:`GATE_ROWS` rows."""
         if isinstance(op, P.SeqScan):
-            return _ScanIterator(op, catalog.get(op.table_name), profile)
+            return _ScanIterator(op, catalog.get(op.table_name), profile,
+                                 gate)
         if isinstance(op, P.IndexSeek):
             return _IndexSeekIterator(op, catalog.get(op.table_name),
-                                      profile)
+                                      profile, gate)
         if isinstance(op, P.Filter):
             return _FilterIterator(
-                op, self._build(op.child, catalog, profile), profile
+                op, self._build(op.child, catalog, profile, gate), profile
             )
         if isinstance(op, P.Project):
             return _ProjectIterator(
-                op, self._build(op.child, catalog, profile), profile
+                op, self._build(op.child, catalog, profile, gate), profile
             )
         if isinstance(op, P.HashJoin):
             return _HashJoinIterator(
                 op,
-                self._build(op.build, catalog, profile),
-                self._build(op.probe, catalog, profile),
+                self._build(op.build, catalog, profile, gate),
+                self._build(op.probe, catalog, profile, gate),
                 profile,
             )
         if isinstance(op, P.NestedLoopJoin):
             return _NestedLoopIterator(
                 op,
-                self._build(op.left, catalog, profile),
-                self._build(op.right, catalog, profile),
+                self._build(op.left, catalog, profile, gate),
+                self._build(op.right, catalog, profile, gate),
                 profile,
             )
         if isinstance(op, P.HashGroupBy):
             return _HashGroupByIterator(
-                op, self._build(op.child, catalog, profile), profile
+                op, self._build(op.child, catalog, profile, gate), profile
             )
         if isinstance(op, P.ScalarAggregate):
             return _ScalarAggregateIterator(
-                op, self._build(op.child, catalog, profile), profile
+                op, self._build(op.child, catalog, profile, gate), profile
             )
         if isinstance(op, P.Sort):
             return _SortIterator(
-                op, self._build(op.child, catalog, profile), profile
+                op, self._build(op.child, catalog, profile, gate), profile
             )
         if isinstance(op, P.Limit):
             return _LimitIterator(
-                op, self._build(op.child, catalog, profile), profile
+                op, self._build(op.child, catalog, profile, gate), profile
             )
         raise EngineError(f"volcano cannot execute {type(op).__name__}")

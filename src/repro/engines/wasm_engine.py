@@ -305,10 +305,11 @@ class WasmEngine(QueryEngine):
 
     def execute(self, plan: P.PhysicalOperator, catalog: Catalog,
                 profile: Profile | None = None,
-                trace=None) -> ExecutionResult:
+                trace=None, run: QueryRun | None = None) -> ExecutionResult:
         if isinstance(plan, P.EmptyResult):
             return self.execute_folded(plan, profile, trace)
-        run = QueryRun(profile=profile, trace=trace)
+        run = run if run is not None else QueryRun(profile=profile,
+                                                   trace=trace)
         run.governor = self._governor(run)
         executable = self.prepare_executable(plan, catalog, run)
         result = self.execute_prepared(executable, plan, catalog, run)
@@ -416,7 +417,7 @@ class WasmEngine(QueryEngine):
         rows = executable.rows
         stats = run.tier_stats = instance.stats
         run.pipelines = compiled.pipelines
-        gate = self._morsel_gate(run)
+        gate = self.run_gate(run)
 
         compile_before = dict(stats.seconds)
         with Stopwatch(timings, "execution"), \
@@ -501,31 +502,6 @@ class WasmEngine(QueryEngine):
         result.trace = trace
         result.run = run
         return result
-
-    def _morsel_gate(self, run: QueryRun):
-        """The per-morsel prologue, composed once per run from what is
-        armed — cancellation, the governor's clock, the ``trap.morsel``
-        fault site, the scheduler's turnstile, in that order — as
-        ``gate(pipeline_index, morsel)``; ``None`` when nothing is, so
-        an unarmed run pays for no check at all."""
-        token, governor = run.cancel_token, run.governor
-        injector, hook = self.fault_injector, run.morsel_hook
-        checks = [check for armed, check in (
-            (token is not None, lambda p, m: token.raise_if_cancelled(
-                phase="execution", pipeline_index=p, morsel=m)),
-            (governor.timed, lambda p, m: governor.check(
-                pipeline_index=p, morsel=m)),
-            (injector is not None,
-             lambda p, m: injector.check("trap.morsel", run.trace)),
-            (hook is not None, lambda p, m: hook()),
-        ) if armed]
-        if not checks:
-            return None
-
-        def gate(pipeline_index, morsel):
-            for check in checks:
-                check(pipeline_index, morsel)
-        return gate
 
     def _reset_instance(self, executable: WasmExecutable) -> None:
         """Restore a cached instance for the next execution.

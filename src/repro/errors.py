@@ -272,9 +272,9 @@ class SessionError(ServiceError):
 class AdmissionError(ServiceError):
     """The scheduler refused to admit a query (queue full, per-session
     limit reached, or the query's deadline cannot survive the queue).
-    Not retryable through the engine *fallback chain* — but the
-    service-level :class:`~repro.robustness.resilience.RetryPolicy`
-    may back off and resubmit, guided by ``retry_after``.
+    Not retryable through the engine *fallback chain*: the service
+    does not resubmit it either.  A client may back off and resubmit,
+    guided by ``retry_after``.
 
     Attributes:
         reason: structured shed reason (``"queue_full"``,
@@ -335,7 +335,7 @@ class QueryError(ReproError):
     ``__cause__`` chains to the last error, whose own ``__cause__`` (via
     the per-attempt errors) preserves every original traceback.
 
-    Not retryable: it already *is* the outcome of the retry policy.
+    Not retryable: it already *is* the outcome of the fallback route.
     """
 
     def __init__(self, message: str,
@@ -360,8 +360,9 @@ class WorkerError(ServiceError):
     pool — the dispatch channel, the worker process, or the shared-
     memory attachment — not to the query itself.
 
-    Retryable: the same task on a healthy worker (or the in-process
-    fallback path) is expected to succeed.
+    Retryable: the same query run in-process is expected to succeed —
+    ``Database.run_plan`` does exactly that with every ``WorkerError``
+    the pool raises, so none reaches a client.
     """
 
     retryable = True
@@ -371,8 +372,8 @@ class WorkerCrash(WorkerError):
     """A worker process died (or stopped responding) mid-task.
 
     The pool replaces the worker; the interrupted task surfaces as this
-    structured, retryable error so a service-level
-    :class:`~repro.robustness.resilience.RetryPolicy` can resubmit it.
+    structured, retryable error, on which ``Database.run_plan`` runs the
+    query in-process instead.
 
     Attributes:
         worker_id: the pool slot whose process died.

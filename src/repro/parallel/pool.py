@@ -15,8 +15,9 @@ tasks sequentially off its pipe.
 Failure policy, uniformly "kill + respawn + structured error":
 
 * a worker that dies or stops responding mid-task becomes a
-  :class:`~repro.errors.WorkerCrash` (retryable — the service's
-  RetryPolicy re-runs the query against the healed pool);
+  :class:`~repro.errors.WorkerCrash` (retryable —
+  ``Database.run_plan`` catches every :class:`~repro.errors.WorkerError`
+  and runs the query in-process, while the pool heals);
 * on any abort (crash, deadline, cancellation) every grabbed worker
   with replies still owed is killed and respawned rather than drained —
   releasing a worker with unread replies in its pipe would corrupt the

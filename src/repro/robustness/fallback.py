@@ -1,26 +1,31 @@
-"""Graceful degradation: re-run a failed query on the next engine.
+"""Graceful degradation: re-run a failed statement on the next engine.
 
 The paper's architecture already *contains* a degradation ladder — the
 same physical plan executes on the adaptive Wasm engine, on the Wasm
 reference interpreter, and on the Volcano engine, in strictly decreasing
 order of sophistication and strictly increasing order of simplicity (and
-hence trustworthiness).  The fallback chain makes that ladder an explicit
-policy: when an attempt fails with a *retryable* error (see
-:mod:`repro.errors`), the query transparently re-runs on the next rung.
+hence trustworthiness).  A statement's *route* makes that ladder
+explicit: the engine spec it asked for, then the database's fallback
+chain.  When an attempt fails with a *retryable* error (see
+:mod:`repro.errors`), the statement transparently re-runs on the next
+spec.  Both front doors — ``Database.execute`` and the query service —
+run their routes through :func:`run_route`; it is the only loop over a
+statement's engine specs.
 
 An engine spec is an engine name with an optional bracketed variant:
 ``"wasm"``, ``"wasm[interpreter]"`` (the Wasm engine forced to the
 reference interpreter — no compilation at all), ``"volcano"``.  The
-default chain is ``wasm → wasm[interpreter] → volcano``.
+default chain is :data:`DEFAULT_CHAIN`,
+``wasm[adaptive_stencil] → wasm[interpreter] → volcano``.
 
-Outcome contract of :func:`execute_with_fallback`:
+Outcome contract of :func:`run_route`:
 
 * first success wins; failed earlier attempts are reported on the result
   (``ExecutionResult.fallback_attempts``) — degradation is observable,
   never silent;
-* a failure on a chain of one (no fallback configured) re-raises the
-  original exception unchanged — exactly the pre-robustness behavior;
-* a non-retryable error stops the chain immediately;
+* a failure on a route of one spec (no fallback configured) re-raises
+  the original exception unchanged;
+* a non-retryable error stops the route immediately;
 * when more than one attempt failed, the caller gets one structured
   :class:`~repro.errors.QueryError` carrying the full
   ``(engine_spec, error)`` attempt trail, chained (``__cause__``) to the
@@ -33,13 +38,9 @@ import re
 
 from repro.errors import ConfigError, QueryError, ReproError
 from repro.observability.metrics import get_registry
+from repro.observability.trace import trace_event
 
-__all__ = [
-    "DEFAULT_CHAIN",
-    "FallbackPolicy",
-    "execute_with_fallback",
-    "parse_engine_spec",
-]
+__all__ = ["DEFAULT_CHAIN", "parse_engine_spec", "run_route"]
 
 #: The default degradation ladder of the paper's architecture.
 DEFAULT_CHAIN = ("wasm[adaptive_stencil]", "wasm[interpreter]", "volcano")
@@ -56,71 +57,29 @@ def parse_engine_spec(spec: str) -> tuple[str, str | None]:
     return match.group("name"), match.group("option")
 
 
-class FallbackPolicy:
-    """An ordered chain of engine specs plus a retry budget.
+def run_route(specs, run_one, trace=None):
+    """Try ``run_one(spec)`` for each spec of a route until one succeeds.
 
-    Args:
-        chain: engine specs tried in order.  The primary engine of a
-            query is always attempted first; chain entries equal to it
-            are not attempted twice.
-        max_attempts: upper bound on attempts per query (primary
-            included); ``None`` means the chain length is the bound.
+    Every attempt is an ``engine.attempt`` event in ``trace`` and every
+    failed one an ``engine.attempt_failed`` event.  Returns the winning
+    result with ``fallback_attempts`` set to the ``(spec, "Error:
+    message")`` pairs that preceded it; raises per the outcome contract
+    in the module docstring.
     """
-
-    def __init__(self, chain: tuple[str, ...] | list[str] = DEFAULT_CHAIN,
-                 max_attempts: int | None = None):
-        chain = tuple(chain)
-        if not chain:
-            raise ConfigError("fallback chain must not be empty")
-        for spec in chain:
-            parse_engine_spec(spec)
-        if max_attempts is not None and max_attempts < 1:
-            raise ConfigError(
-                f"max_attempts must be >= 1, got {max_attempts}"
-            )
-        self.chain = chain
-        self.max_attempts = max_attempts
-
-    def attempts_for(self, primary: str) -> list[str]:
-        """The ordered engine specs to try for a query on ``primary``."""
-        parse_engine_spec(primary)
-        specs = [primary] + [s for s in self.chain if s != primary]
-        if self.max_attempts is not None:
-            specs = specs[: self.max_attempts]
-        return specs
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"FallbackPolicy(chain={self.chain!r}, "
-                f"max_attempts={self.max_attempts})")
-
-
-def execute_with_fallback(specs: list[str], run_one):
-    """Try ``run_one(spec)`` for each spec until one succeeds.
-
-    Returns ``(result, failures)`` where ``failures`` is the list of
-    ``(spec, error)`` pairs that preceded the success.  Raises per the
-    outcome contract in the module docstring.
-    """
-    if not specs:
-        raise ConfigError("no engines to attempt")
     attempts_counter = get_registry().counter(
         "fallback_attempts_total", "Engine attempts, by spec and outcome"
     )
     failures: list[tuple[str, ReproError]] = []
-    for i, spec in enumerate(specs):
+    for spec in specs:
+        trace_event(trace, "engine.attempt", engine=spec)
         try:
             result = run_one(spec)
-            attempts_counter.inc(engine=spec, outcome="ok")
-            if failures:
-                get_registry().counter(
-                    "fallback_degraded_queries_total",
-                    "Queries answered by a fallback engine",
-                ).inc()
-            return result, failures
         except ReproError as err:
+            trace_event(trace, "engine.attempt_failed", engine=spec,
+                        error=type(err).__name__)
             attempts_counter.inc(engine=spec, outcome="error")
             failures.append((spec, err))
-            if i + 1 < len(specs) and err.retryable:
+            if len(failures) < len(specs) and err.retryable:
                 continue
             if len(failures) == 1:
                 raise  # no fallback was attempted: surface the original
@@ -130,4 +89,15 @@ def execute_with_fallback(specs: list[str], run_one):
             else:
                 message = "query failed on every engine of the chain"
             raise QueryError(message, attempts=failures) from err
-    raise AssertionError("unreachable")  # pragma: no cover
+        attempts_counter.inc(engine=spec, outcome="ok")
+        if failures:
+            get_registry().counter(
+                "fallback_degraded_queries_total",
+                "Queries answered by a fallback engine",
+            ).inc()
+        result.fallback_attempts = [
+            (failed, f"{type(err).__name__}: {err}")
+            for failed, err in failures
+        ]
+        return result
+    raise ConfigError("no engines to attempt")

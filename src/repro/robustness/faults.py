@@ -146,7 +146,7 @@ class FaultInjector:
             every trial (subject to ``max_fires``).
         max_fires: cap on how often each listed site may fire (``None``
             for unlimited).  ``max_fires=1`` models a transient fault
-            that the retry policy should absorb.
+            that the fallback chain should absorb.
     """
 
     def __init__(self, seed: int = 0,

@@ -2,9 +2,9 @@
 the last morsel.
 
 The paper's morsel-wise execution gives the host a preemption point
-after every ``pipeline_i(begin, end)`` call; PR 1 used it for resource
-budgets and PR 4 for fair scheduling.  This module closes the loop at
-the *service* level with four cooperating primitives:
+after every ``pipeline_i(begin, end)`` call; the resource governor and
+the fair scheduler already use it.  This module closes the loop at the
+*service* level with three primitives:
 
 * :class:`Deadline` — one monotonic expiry carried by a query from
   admission to the last morsel.  Session ``statement_timeout``, a
@@ -17,35 +17,26 @@ the *service* level with four cooperating primitives:
   <query_id>`` from another session flips the token; the running query
   aborts within one morsel with a structured
   :class:`~repro.errors.QueryCancelled`.
-* :class:`RetryPolicy` — deterministic (seeded) exponential backoff
-  with jitter for *retryable* taxonomy errors and shed admissions,
-  never sleeping past the deadline.
-* :class:`CircuitBreaker` / :class:`TierBreakerBoard` — per-fingerprint
-  breakers over TurboFan bailouts: a fingerprint whose compilations
-  repeatedly bail stops attempting the expensive tier for a cool-down,
-  then half-opens with a single probe.
+* :class:`CircuitBreaker` — the query service keeps one per statement
+  fingerprint over TurboFan bailouts: a fingerprint whose compilations
+  repeatedly bail has its route's head pinned to the cheap tier for a
+  cool-down, then half-opens with a single probe.
 
-Everything here is deterministic under injected clocks and seeds, so
-the chaos suite can assert transitions, not just survival.
+Everything here is deterministic under an injected clock, so the chaos
+suite can assert transitions, not just survival.
 """
 
 from __future__ import annotations
 
-import random
 import threading
 import time
 
-from repro.errors import AdmissionError, ConfigError, QueryCancelled, ReproError
-from repro.observability.metrics import get_registry
-from repro.observability.trace import trace_event
+from repro.errors import ConfigError, QueryCancelled
 
-__all__ = [
-    "CancelToken",
-    "CircuitBreaker",
-    "Deadline",
-    "RetryPolicy",
-    "TierBreakerBoard",
-]
+__all__ = ["CancelToken", "CircuitBreaker", "Deadline"]
+
+#: The clock every CircuitBreaker reads; tests swap it.
+_clock = time.perf_counter
 
 
 class Deadline:
@@ -170,93 +161,6 @@ class CancelToken:
             )
 
 
-class RetryPolicy:
-    """Deterministic service-level retries: seeded backoff plus jitter.
-
-    A retry is attempted only when the error is *retryable* per the
-    taxonomy in :mod:`repro.errors` — or is an
-    :class:`~repro.errors.AdmissionError`, which is exactly the "back
-    off and resubmit" contract shedding advertises — and only when the
-    backoff sleep still fits inside the query's :class:`Deadline`.
-    Delays depend on ``(seed, key, attempt)`` alone, so two runs with
-    the same seed retry at the same instants.
-
-    Args:
-        max_attempts: total tries per query (first attempt included).
-        base_delay: backoff before the first retry, in seconds.
-        multiplier: exponential growth factor per retry.
-        jitter: fraction of the delay randomized away (``0.5`` means the
-            actual delay is uniform in ``[0.5 * d, d]``).
-        seed: master seed for the jitter stream.
-        sleep: injectable sleep function (tests pass a recorder).
-    """
-
-    def __init__(self, max_attempts: int = 3, base_delay: float = 0.01,
-                 multiplier: float = 2.0, jitter: float = 0.5,
-                 seed: int = 0, sleep=time.sleep):
-        if max_attempts < 1:
-            raise ConfigError("max_attempts must be >= 1")
-        if base_delay < 0 or multiplier < 1 or not (0.0 <= jitter <= 1.0):
-            raise ConfigError(
-                "base_delay must be >= 0, multiplier >= 1, jitter in [0, 1]"
-            )
-        self.max_attempts = max_attempts
-        self.base_delay = base_delay
-        self.multiplier = multiplier
-        self.jitter = jitter
-        self.seed = seed
-        self._sleep = sleep
-
-    @staticmethod
-    def is_retryable(error: BaseException) -> bool:
-        """The service-level retry contract (see class docstring)."""
-        if isinstance(error, AdmissionError):
-            return True
-        return bool(getattr(error, "retryable", False))
-
-    def delay(self, key: str, attempt: int) -> float:
-        """The deterministic backoff before retry number ``attempt``."""
-        raw = self.base_delay * (self.multiplier ** attempt)
-        if self.jitter == 0.0:
-            return raw
-        rng = random.Random(f"{self.seed}:{key}:{attempt}")
-        return raw * (1.0 - self.jitter * rng.random())
-
-    def run(self, attempt_fn, deadline: Deadline | None = None,
-            key: str = "", trace=None):
-        """Call ``attempt_fn()`` until success or the policy gives up.
-
-        Re-raises the last error when attempts are exhausted, the error
-        is not retryable, or the deadline cannot absorb the backoff.
-        ``AdmissionError.retry_after`` hints raise the backoff floor.
-        """
-        retries = get_registry().counter(
-            "service_retries_total", "Service-level query retries, by error"
-        )
-        for attempt in range(self.max_attempts):
-            try:
-                return attempt_fn()
-            except ReproError as err:
-                if attempt + 1 >= self.max_attempts \
-                        or not self.is_retryable(err):
-                    raise
-                pause = self.delay(key, attempt)
-                hint = getattr(err, "retry_after", None)
-                if hint is not None:
-                    pause = max(pause, hint)
-                if deadline is not None:
-                    left = deadline.remaining()
-                    if left is not None and pause >= left:
-                        raise  # the backoff would outlive the budget
-                trace_event(trace, "retry.backoff", attempt=attempt + 1,
-                            delay=round(pause, 6),
-                            error=type(err).__name__)
-                retries.inc(error=type(err).__name__)
-                if pause > 0:
-                    self._sleep(pause)
-        raise AssertionError("unreachable")  # pragma: no cover
-
-
 class CircuitBreaker:
     """A three-state breaker: ``closed -> open -> half_open -> closed``.
 
@@ -272,24 +176,24 @@ class CircuitBreaker:
         failure again.
     ``half_open``
         after the cool-down one probe is let through; its success
-        closes the breaker (and clears the count), its failure re-opens
-        it for another full cool-down.
+        closes the breaker (and clears the count), its failure — or
+        its end without a report (:meth:`abandon_probe`) — re-opens it
+        for another full cool-down.
 
-    Thread-safe; the clock is injectable for deterministic tests.
+    Thread-safe; reads the module's ``_clock`` at every call, so tests
+    can swap it.
     """
 
     CLOSED, OPEN, HALF_OPEN = "closed", "open", "half_open"
 
     def __init__(self, failure_threshold: int = 2,
-                 cooldown_seconds: float = 30.0, *, clock=None,
-                 on_transition=None):
+                 cooldown_seconds: float = 30.0, *, on_transition=None):
         if failure_threshold < 1:
             raise ConfigError("failure_threshold must be >= 1")
         if cooldown_seconds <= 0:
             raise ConfigError("cooldown_seconds must be positive")
         self.failure_threshold = failure_threshold
         self.cooldown_seconds = cooldown_seconds
-        self._clock = clock if clock is not None else time.perf_counter
         self._on_transition = on_transition
         self._lock = threading.Lock()
         self._state = self.CLOSED
@@ -310,15 +214,16 @@ class CircuitBreaker:
 
     def _transition(self, new_state: str) -> None:
         old, self._state = self._state, new_state
+        self._probe_in_flight = False
+        if new_state == self.OPEN:
+            self._opened_at = _clock()
         if old != new_state and self._on_transition is not None:
             self._on_transition(old, new_state)
 
     def _maybe_half_open(self) -> None:
         if (self._state == self.OPEN
-                and self._clock() - self._opened_at
-                >= self.cooldown_seconds):
+                and _clock() - self._opened_at >= self.cooldown_seconds):
             self._transition(self.HALF_OPEN)
-            self._probe_in_flight = False
 
     def allow(self) -> bool:
         """May the guarded (expensive) path be attempted right now?
@@ -340,14 +245,11 @@ class CircuitBreaker:
         with self._lock:
             self._maybe_half_open()
             if self._state == self.HALF_OPEN:
-                self._probe_in_flight = False
-                self._opened_at = self._clock()
                 self._transition(self.OPEN)
                 return
             self._failures += count
             if (self._state == self.CLOSED
                     and self._failures >= self.failure_threshold):
-                self._opened_at = self._clock()
                 self._transition(self.OPEN)
 
     def record_success(self) -> None:
@@ -355,68 +257,15 @@ class CircuitBreaker:
         with self._lock:
             self._maybe_half_open()
             if self._state == self.HALF_OPEN:
-                self._probe_in_flight = False
                 self._failures = 0
                 self._transition(self.CLOSED)
 
-
-class TierBreakerBoard:
-    """Per-fingerprint circuit breakers over TurboFan bailouts.
-
-    The plan cache consults the board before compiling a fingerprint:
-    while that fingerprint's breaker is open, compilation is pinned to
-    the degraded tier (Liftoff, no tier-up attempts) so the query stops
-    paying the bailout on every fresh compilation episode — the
-    persistent-regression case the JIT empirical study documents.
-
-    Transitions are published as ``breaker.{open,half_open,close}``
-    trace-style metrics (``breaker_transitions_total``); the service
-    additionally records per-query ``breaker.*`` trace events.
-    """
-
-    def __init__(self, failure_threshold: int = 2,
-                 cooldown_seconds: float = 30.0, *, clock=None):
-        self.failure_threshold = failure_threshold
-        self.cooldown_seconds = cooldown_seconds
-        self._clock = clock
-        self._lock = threading.Lock()
-        self._breakers: dict[str, CircuitBreaker] = {}
-        self._transitions = get_registry().counter(
-            "breaker_transitions_total",
-            "Tier circuit-breaker transitions, by new state",
-        )
-
-    def _breaker(self, fingerprint: str) -> CircuitBreaker:
+    def abandon_probe(self) -> None:
+        """An episode ended without reporting (its compile failed, its
+        run was cancelled or fell back): a probe in flight counts as a
+        failed one, so the breaker re-opens for a full cool-down.
+        Outside a probe there is nothing to count."""
         with self._lock:
-            breaker = self._breakers.get(fingerprint)
-            if breaker is None:
-                breaker = CircuitBreaker(
-                    self.failure_threshold, self.cooldown_seconds,
-                    clock=self._clock,
-                    on_transition=lambda old, new:
-                        self._transitions.inc(state=new),
-                )
-                self._breakers[fingerprint] = breaker
-            return breaker
-
-    def allow_tier_up(self, fingerprint: str) -> bool:
-        """False while the fingerprint should stay on the cheap tier."""
-        return self._breaker(fingerprint).allow()
-
-    def record(self, fingerprint: str, bailouts: int) -> None:
-        """Outcome of one compilation episode: ``bailouts`` new TurboFan
-        failures (0 means the episode was clean)."""
-        breaker = self._breaker(fingerprint)
-        if bailouts > 0:
-            breaker.record_failure(bailouts)
-        else:
-            breaker.record_success()
-
-    def state(self, fingerprint: str) -> str:
-        return self._breaker(fingerprint).state
-
-    def states(self) -> dict[str, str]:
-        """Snapshot of every tracked fingerprint's breaker state."""
-        with self._lock:
-            items = list(self._breakers.items())
-        return {fp: b.state for fp, b in items}
+            self._maybe_half_open()
+            if self._state == self.HALF_OPEN and self._probe_in_flight:
+                self._transition(self.OPEN)

@@ -79,14 +79,14 @@ class CacheEntry:
     on a hit.  ``lock`` serializes executions of the (single-occupancy)
     executable.
 
-    The trailing fields are tier-circuit-breaker bookkeeping (see
-    :class:`~repro.robustness.resilience.TierBreakerBoard`):
-    ``tier_degraded`` marks an entry compiled pinned to Liftoff because
-    its fingerprint's breaker was open; ``breaker_pending`` marks a
-    fresh, non-degraded compilation whose first execution must report
-    its episode (clean or bailing) to the breaker;
-    ``bailouts_recorded`` is how many of the executable's tier-up
-    failures the breaker has already been told about.
+    ``head`` is the engine spec the executable was compiled for: the
+    requested one, or Liftoff while the tier breaker was open; a run's
+    route is the head, then the database's current fallback chain.
+    ``compiled`` is False until the first run (or PREPARE) compiles
+    it; only compiled entries are inserted.
+    ``breaker_pending`` marks a compile the breaker let through that
+    still owes it a report; ``bailouts_recorded`` counts the tier-up
+    failures it was already told about.
     """
 
     plan: object
@@ -98,7 +98,8 @@ class CacheEntry:
     analysis: object = None
     hits: int = 0
     lock: threading.Lock = field(default_factory=threading.Lock)
-    tier_degraded: bool = False
+    head: str | None = None
+    compiled: bool = False
     breaker_pending: bool = False
     bailouts_recorded: int = 0
     #: the :class:`~repro.parallel.ParallelDecision` for this plan when

@@ -17,11 +17,14 @@ adds, on top of :class:`~repro.db.Database`:
   morsel (session ``statement_timeout``, per-query timeouts, and queue
   wait all debit the same budget, which seeds the governor), a
   :class:`CancelToken` checked at the same morsel gate (``CANCEL
-  <query_id>`` aborts a running query from another session), an
-  optional deterministic :class:`RetryPolicy` for retryable failures,
-  and per-fingerprint **tier circuit breakers** that stop repeatedly
-  bailing fingerprints from re-attempting TurboFan until a cool-down
-  half-opens.
+  <query_id>`` aborts a running query from another session), and
+  per-fingerprint **tier circuit breakers** that pin the route of a
+  repeatedly bailing fingerprint to Liftoff until a cool-down
+  half-opens,
+* the database's **fallback chain**: a statement runs on the same
+  route (:meth:`~repro.db.Database.route`) and through the same loop
+  (:func:`~repro.robustness.fallback.run_route`) as under
+  ``Database.execute``, so both front doors degrade identically.
 
 Concurrency model
 -----------------
@@ -35,6 +38,8 @@ The single-occupancy :class:`WasmExecutable` of a cache entry is
 serialized by the entry's lock.  Queries run through
 ``Database.run_plan`` and writes through ``Database.apply_write``; this
 module adds admission, the locks, the cache, breakers and feedback.
+A shed query raises :class:`~repro.errors.AdmissionError` with the
+scheduler's ``retry_after`` hint; resubmitting is the client's call.
 """
 
 from __future__ import annotations
@@ -57,19 +62,15 @@ from repro.errors import (
     AnalysisError,
     ConfigError,
     QueryCancelled,
+    ReproError,
     ServiceError,
     SessionError,
 )
 from repro.observability.metrics import get_registry
 from repro.observability.trace import QueryTrace, trace_event, trace_span
 from repro.plan.physical import collect_params
-from repro.robustness.fallback import parse_engine_spec
-from repro.robustness.resilience import (
-    CancelToken,
-    Deadline,
-    RetryPolicy,
-    TierBreakerBoard,
-)
+from repro.robustness.fallback import parse_engine_spec, run_route
+from repro.robustness.resilience import CancelToken, CircuitBreaker, Deadline
 from repro.server.plancache import CacheEntry, PlanCache, fingerprint_tokens
 from repro.server.scheduler import MorselScheduler
 from repro.server.session import PreparedStatement, Session
@@ -80,6 +81,11 @@ from repro.sql.parser import parse
 from repro.wasm.runtime.engine import pinned_mode
 
 __all__ = ["QueryService"]
+
+#: TurboFan bailouts, summed over compile episodes, that open a
+#: fingerprint's tier breaker, and the seconds it then stays open.
+BREAKER_THRESHOLD = 2
+BREAKER_COOLDOWN_SECONDS = 30.0
 
 
 class _ReadWriteLock:
@@ -158,15 +164,6 @@ class QueryService:
         statement_timeout: service-wide default wall-clock budget per
             query, in seconds (sessions and per-query timeouts tighten
             it); ``None`` for unlimited.
-        retry_policy: a :class:`RetryPolicy` for service-level retries
-            of retryable failures and shed admissions; ``None`` (the
-            default) fails fast exactly as before.
-        breaker_threshold / breaker_cooldown: per-fingerprint tier
-            circuit breakers — after ``breaker_threshold`` TurboFan
-            bailouts a fingerprint compiles pinned to Liftoff for
-            ``breaker_cooldown`` seconds, then half-opens with one
-            probe.  ``breaker_threshold=None`` disables breakers.
-        breaker_clock: injectable clock for the breakers (tests).
         fault_injector: a :class:`~repro.robustness.FaultInjector`
             checked at the service's own sites (``admission``,
             ``cache.lookup``; the TCP front end adds ``socket.write``;
@@ -194,10 +191,6 @@ class QueryService:
                  max_queue_depth: int = 16,
                  per_session_limit: int | None = None,
                  statement_timeout: float | None = None,
-                 retry_policy: RetryPolicy | None = None,
-                 breaker_threshold: int | None = 2,
-                 breaker_cooldown: float = 30.0,
-                 breaker_clock=None,
                  fault_injector=None,
                  workers: int = 0,
                  feedback: bool | FeedbackConfig = True):
@@ -214,12 +207,9 @@ class QueryService:
             per_session_limit=per_session_limit,
         )
         self.statement_timeout = statement_timeout
-        self.retry_policy = retry_policy
-        self.breakers = (
-            TierBreakerBoard(breaker_threshold, breaker_cooldown,
-                             clock=breaker_clock)
-            if breaker_threshold is not None else None
-        )
+        #: one :class:`CircuitBreaker` per statement fingerprint over
+        #: TurboFan bailouts (see :meth:`_begin_episode`)
+        self.breakers: dict[str, CircuitBreaker] = {}
         self.fault_injector = fault_injector
         if feedback is True:
             self.feedback = FeedbackStore()
@@ -242,6 +232,10 @@ class QueryService:
         self._cancelled = registry.counter(
             "queries_cancelled_total",
             "Queries aborted by cooperative cancellation",
+        )
+        self._breaker_transitions = registry.counter(
+            "breaker_transitions_total",
+            "Tier circuit-breaker transitions, by new state",
         )
 
     def close(self) -> None:
@@ -323,10 +317,14 @@ class QueryService:
                     timeout=deadline.timeout_seconds)
         try:
             yield active
-        except QueryCancelled:
-            self._cancelled.inc()
-            trace_event(qtrace, "query.cancelled", query_id=query_id,
-                        reason=token.reason)
+        except ReproError as err:
+            # a cancellation after a fallback arrives as the route's
+            # QueryError, chained to the QueryCancelled
+            if isinstance(err, QueryCancelled) \
+                    or isinstance(err.__cause__, QueryCancelled):
+                self._cancelled.inc()
+                trace_event(qtrace, "query.cancelled", query_id=query_id,
+                            reason=token.reason)
             raise
         finally:
             with self._active_lock:
@@ -464,8 +462,12 @@ class QueryService:
             )
             session.add_statement(prepared)
             # warm the cache now so the first EXECUTE is already a hit
-            self._cached_entry(prepared.fingerprint, prepared.select,
-                               spec, qtrace)
+            fp = prepared.fingerprint
+            entry, disposition = self._cached_entry(
+                fp, prepared.select, spec, qtrace)
+            if disposition == "miss" and self._warm(fp, spec, entry,
+                                                    qtrace):
+                self.cache.insert(self._key(fp, spec), entry)
         return None
 
     def _do_execute(self, stmt: ast.Execute, session: Session | None,
@@ -509,24 +511,21 @@ class QueryService:
                     query: _ActiveQuery, param_values: list | None = None,
                     session: Session | None = None):
         """The one execution path: admission (shedding + one deadline),
-        cache lookup, then ``Database.run_plan`` under the scheduler
-        with cancellation checked at every morsel.  Returns ``(result,
-        entry, disposition)``.  With a :class:`RetryPolicy` configured,
-        shed admissions and retryable engine failures are retried under
-        seeded backoff, never past the deadline."""
-        session_id = session.id if session is not None else None
+        cache lookup, then the entry's route (:meth:`_run_route`) under
+        the scheduler with cancellation checked at every morsel.
+        Returns ``(result, entry, disposition)``."""
+        if self.fault_injector is not None:
+            self.fault_injector.check("admission", qtrace)
+        ticket = self.scheduler.admit(
+            session.id if session is not None else None,
+            deadline=query.deadline, cancel_token=query.token, trace=qtrace,
+        )
+        try:
+            with self._state_lock.read():
+                entry, disposition = self._cached_entry(
+                    fp, select, spec, qtrace)
 
-        def attempt():
-            if self.fault_injector is not None:
-                self.fault_injector.check("admission", qtrace)
-            ticket = self.scheduler.admit(
-                session_id, deadline=query.deadline,
-                cancel_token=query.token, trace=qtrace,
-            )
-            try:
-                with self._state_lock.read():
-                    entry, disposition = self._cached_entry(
-                        fp, select, spec, qtrace)
+                def new_run() -> QueryRun:
                     # the governor enforces the same deadline admission
                     # already debited; every morsel — on the pool, every
                     # task batch — passes the scheduler's fair turnstile
@@ -539,55 +538,86 @@ class QueryService:
                         run.dispatcher = partial(
                             self.scheduler.dispatch, ticket,
                             self.db.parallel.pool.run_tasks)
-                    with entry.lock:
-                        result = self.db.run_plan(
-                            entry.plan, spec, run,
-                            executable=entry.executable,
-                            decision=entry.parallel_decision, fp=fp)
-                        if run.prepared is not None:
-                            # the parallel route had skipped compilation
-                            entry.executable = run.prepared
-                        self._note_tier_outcome(fp, entry, qtrace)
-                        if self.feedback is not None:
-                            self._note_feedback(fp, select, entry, run,
-                                                spec, qtrace)
-                    result.plan_cache = disposition
-                    result.scheduler_wait_seconds = ticket.max_wait_seconds
-                    return result, entry, disposition
-            finally:
-                self.scheduler.release(ticket)
+                    return run
 
-        if self.retry_policy is None:
-            return attempt()
-        return self.retry_policy.run(
-            attempt, deadline=query.deadline, key=f"{query.id}",
-            trace=qtrace,
-        )
+                with entry.lock:
+                    result = self._run_route(fp, select, spec, entry,
+                                             new_run, qtrace)
+                result.plan_cache = disposition
+                result.scheduler_wait_seconds = ticket.max_wait_seconds
+                return result, entry, disposition
+        finally:
+            self.scheduler.release(ticket)
+
+    def _run_route(self, fp: str, select: ast.Select, spec: str,
+                   entry: CacheEntry, new_run, qtrace):
+        """Run the route of ``entry``; the caller holds the entry lock.
+
+        The route is the entry's head — ``spec``, or the variant the
+        breaker pinned when the entry was compiled — then the database's
+        current chain (:meth:`Database.route`).  The head runs the
+        entry's executable, compiled first when the entry is fresh — a
+        new compile episode (:meth:`_begin_episode`).  Later specs run
+        uncached through ``Database.run_plan``, as under
+        ``Database.execute``, under the same deadline, cancel token and
+        turnstile.  The episode is reported to the breaker in a
+        ``finally``, so no probe stays in flight; feedback is recorded
+        only when the head answered.
+        """
+        if not entry.compiled:
+            self._begin_episode(fp, spec, entry, qtrace)
+        head, head_run = entry.head, new_run()
+        route = (head, *(s for s in self.db.route(spec)[1:] if s != head))
+
+        def run_one(attempt: str):
+            if attempt != head:
+                return self.db.run_plan(entry.plan, attempt, new_run())
+            if not entry.compiled:
+                # a fresh entry: cached once compiled, so a concurrent
+                # miss waits on its lock instead of compiling again
+                self._compile(entry, qtrace)
+                self.cache.insert(self._key(fp, spec), entry)
+            result = self.db.run_plan(
+                entry.plan, head, head_run, executable=entry.executable,
+                decision=entry.parallel_decision, fp=fp)
+            if head_run.prepared is not None:
+                # the parallel route had skipped compilation
+                entry.executable = head_run.prepared
+            return result
+
+        result = None
+        try:
+            result = run_route(route, run_one, qtrace)
+        finally:
+            answered = result is not None and not result.fallback_attempts
+            self._note_tier_outcome(fp, entry, answered, qtrace)
+        if answered and self.feedback is not None:
+            self._note_feedback(fp, select, spec, entry, head_run, qtrace)
+        return result
+
+    def _key(self, fp: str, spec: str) -> tuple:
+        return (fp, spec, self.db.catalog.version)
 
     def _cached_entry(self, fp: str, select: ast.Select, spec: str, qtrace):
-        """Look up — or compile and insert — the entry for this query.
+        """Look up — or plan — the entry for this query.
 
         Caller holds the state read lock.  Returns ``(entry,
-        disposition)``; on a miss the plan is built and, for Wasm engine
-        specs, the query is translated/compiled/instantiated once —
-        consulting the fingerprint's tier circuit breaker: while it is
-        open, compilation is pinned to Liftoff (no tier-up attempts)
-        instead of paying the bailout again.
+        disposition)``.  The cache holds compiled entries only: on a
+        ``"miss"`` the entry is freshly planned, and inserted once it
+        compiled (by its first run, or by PREPARE, :meth:`_warm`).
         """
         if self.fault_injector is not None:
             self.fault_injector.check("cache.lookup", qtrace)
-        key = (fp, spec, self.db.catalog.version)
-        entry = self.cache.lookup(key)
+        entry = self.cache.lookup(self._key(fp, spec))
         if entry is not None:
             trace_event(qtrace, "plancache.hit", engine=spec)
             return entry, "hit"
         trace_event(qtrace, "plancache.miss", engine=spec)
-        entry = self._compile_entry(fp, select, spec, qtrace)
-        return self.cache.insert(key, entry), "miss"
+        return self._plan_entry(fp, select, spec, qtrace), "miss"
 
-    def _compile_entry(self, fp: str, select: ast.Select, spec: str,
-                       qtrace) -> CacheEntry:
-        """Plan (and for Wasm specs compile) one fresh cache entry.
+    def _plan_entry(self, fp: str, select: ast.Select, spec: str,
+                    qtrace) -> CacheEntry:
+        """Plan one fresh, not yet compiled cache entry.
 
         Analyzes ``select`` first when this thread's AST never was (a
         hit skips analysis).  Consults the feedback store: once it
@@ -610,73 +640,108 @@ class QueryService:
         decision = None
         if self.db._parallel_eligible(spec):
             decision = self.db.parallel.decide(plan)
-        dispatchable = (decision is not None and decision.mode != "local"
-                        and self.db.parallel.healthy)
-        engine = self.db.resolve_engine(spec)
-        pin = pinned_mode(engine.tier_ladder)
-        tier_degraded = (self.breakers is not None and pin is not None
-                         and not self.breakers.allow_tier_up(fp))
-        if tier_degraded:
-            # compile on the variant that runs only the rung failed
-            # compiles land on; the cache key and result.engine keep
-            # the spec the client asked for
-            engine = self.db.resolve_engine(
-                f"{parse_engine_spec(spec)[0]}[{pin}]")
-            trace_event(qtrace, "breaker.degraded", engine=spec,
-                        state=self.breakers.state(fp))
-        executable = None
-        if not dispatchable:
-            # a dispatchable plan compiles in the *workers* (keyed by
-            # this entry's fingerprint); the driver-side executable is
-            # built by run_plan only if the pool degrades
-            executable = engine.prepare_executable(
-                plan, self.db.catalog, QueryRun(trace=qtrace))
-        return CacheEntry(plan=plan, executable=executable,
+        return CacheEntry(plan=plan,
                           catalog_version=self.db.catalog.version,
                           analysis=getattr(plan, "analysis", None),
-                          tier_degraded=tier_degraded,
-                          breaker_pending=(executable is not None
-                                           and not tier_degraded),
                           parallel_decision=decision,
                           parameterized=bool(collect_params(plan)))
 
-    def _note_tier_outcome(self, fp: str, entry: CacheEntry,
-                           qtrace) -> None:
-        """Feed the fingerprint's breaker with this compilation episode.
-
-        New TurboFan bailouts (at instantiation or adaptive tier-up)
-        count as failures; the first clean execution of a fresh,
-        non-degraded compilation counts as a success — which is what
-        closes a half-open breaker after a good probe.
-        """
-        if self.breakers is None or entry.executable is None:
+    def _begin_episode(self, fp: str, spec: str, entry: CacheEntry,
+                       qtrace) -> None:
+        """Start a compile episode of ``entry``: choose its head, the
+        spec its executable is compiled for.  That is ``spec`` — unless
+        ``spec``'s ladder can bail (its top rung lands on a lower one)
+        and the fingerprint's breaker is open: then it is the variant
+        that runs only the landing rung (Liftoff).  An episode the
+        breaker let through owes it a report (``breaker_pending``)."""
+        entry.head = spec
+        pin = pinned_mode(self.db.resolve_engine(spec).tier_ladder)
+        entry.breaker_pending = False
+        if pin is None:
             return
-        stats = entry.executable.instance.stats
-        delta = stats.tier_up_failures - entry.bailouts_recorded
-        if delta > 0:
-            entry.bailouts_recorded = stats.tier_up_failures
-            self.breakers.record(fp, delta)
-            trace_event(qtrace, "breaker.bailouts", count=delta,
-                        state=self.breakers.state(fp))
+        breaker = self.breakers.get(fp) or self.breakers.setdefault(
+            fp, CircuitBreaker(BREAKER_THRESHOLD, BREAKER_COOLDOWN_SECONDS,
+                               on_transition=lambda old, new:
+                                   self._breaker_transitions.inc(state=new)))
+        entry.breaker_pending = breaker.allow()
+        if not entry.breaker_pending:
+            entry.head = f"{parse_engine_spec(spec)[0]}[{pin}]"
+            trace_event(qtrace, "breaker.degraded", engine=spec,
+                        state=breaker.state)
+
+    def _compile(self, entry: CacheEntry, qtrace) -> None:
+        """Compile the route's head for ``entry`` — unless the workers
+        compile the plan (keyed by the fingerprint); ``run_plan`` then
+        builds a driver-side executable only if the pool degrades."""
+        decision = entry.parallel_decision
+        if decision is None or decision.mode == "local" \
+                or not self.db.parallel.healthy:
+            entry.executable = self.db.resolve_engine(
+                entry.head).prepare_executable(
+                    entry.plan, self.db.catalog, QueryRun(trace=qtrace))
+        entry.bailouts_recorded = 0
+        entry.compiled = True
+
+    def _warm(self, fp: str, spec: str, entry: CacheEntry,
+              qtrace) -> bool:
+        """Compile a fresh entry outside a route (PREPARE, a feedback
+        rebuild); return whether it compiled.  Only while the breaker
+        is closed: a probe is granted only inside a route, whose end
+        reports it.  A retryable compile failure leaves the entry to a
+        run, which compiles inside its route."""
+        breaker = self.breakers.get(fp)
+        if breaker is not None and breaker.state != CircuitBreaker.CLOSED:
+            return False
+        self._begin_episode(fp, spec, entry, qtrace)
+        try:
+            self._compile(entry, qtrace)
+        except ReproError as err:
+            if not err.retryable:
+                raise
+            return False
+        return True
+
+    def _note_tier_outcome(self, fp: str, entry: CacheEntry,
+                           answered: bool, qtrace) -> None:
+        """Report this run of the entry's compile episode to the
+        fingerprint's breaker: new TurboFan bailouts (at instantiation
+        or tier-up) are failures; else an episode that owes a report
+        makes it now — a success if the head answered (closing a
+        half-open breaker after a good probe), else an abandoned probe.
+        """
+        executable = entry.executable
+        bailouts = (executable.instance.stats.tier_up_failures
+                    if executable is not None else 0) \
+            - entry.bailouts_recorded
+        if bailouts > 0:
+            breaker = self.breakers[fp]
+            breaker.record_failure(bailouts)
+            entry.bailouts_recorded += bailouts
+            trace_event(qtrace, "breaker.bailouts", count=bailouts,
+                        state=breaker.state)
         elif entry.breaker_pending:
-            self.breakers.record(fp, 0)
-            trace_event(qtrace, "breaker.clean",
-                        state=self.breakers.state(fp))
+            breaker = self.breakers[fp]
+            if answered:
+                breaker.record_success()
+            else:
+                breaker.abandon_probe()
+            trace_event(qtrace, "breaker.clean" if answered
+                        else "breaker.abandoned", state=breaker.state)
         entry.breaker_pending = False
 
-    def _note_feedback(self, fp: str, select: ast.Select,
-                       entry: CacheEntry, run: QueryRun, spec: str,
-                       qtrace) -> None:
+    def _note_feedback(self, fp: str, select: ast.Select, spec: str,
+                       entry: CacheEntry, run: QueryRun, qtrace) -> None:
         """Record this execution's measurements in the feedback store
         (only in-process Wasm runs have any).
 
         When the store decides the plan is misestimated (Q-Error past the
         threshold), the entry is *rebuilt in place* under the entry
         lock it already holds: re-planned with the observed cardinality
-        seeds and recompiled.  The very next lookup is still a cache
-        hit — it just runs the re-optimized executable.  (Threads
-        already waiting on the entry lock pick up the new executable
-        when they acquire it.)
+        seeds and recompiled (:meth:`_warm`).  The very next lookup is
+        still a cache hit — it just runs the re-optimized executable.
+        (Threads already waiting on the entry lock pick up the new
+        executable when they acquire it.)  When the rebuild cannot
+        compile, the entry keeps its old plan.
         """
         observation = observation_from_run(
             run, entry.plan, fp, entry.catalog_version,
@@ -693,10 +758,12 @@ class QueryService:
         trace_event(qtrace, "feedback.reoptimize",
                     q_error=round(decision.q_error, 3),
                     pipeline=decision.pipeline)
-        fresh = self._compile_entry(fp, select, spec, qtrace)
+        fresh = self._plan_entry(fp, select, spec, qtrace)
+        if not self._warm(fp, spec, fresh, qtrace):
+            return
         for rebuilt in ("plan", "executable", "analysis", "parameterized",
-                        "parallel_decision", "tier_degraded",
-                        "breaker_pending", "bailouts_recorded"):
+                        "parallel_decision", "head", "breaker_pending",
+                        "bailouts_recorded"):
             setattr(entry, rebuilt, getattr(fresh, rebuilt))
 
     # -- EXPLAIN -----------------------------------------------------------

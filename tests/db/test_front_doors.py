@@ -225,6 +225,77 @@ class TestInjectedFaultsAreTraced:
         assert seen == [["trap.morsel"]] * 50
 
 
+class TestSameDegradation:
+    """With a fallback chain, a failing attempt degrades the same way
+    through either door: both run the database's route through one
+    loop — as a plain SELECT, a plan-cache miss and hit, and
+    PREPARE/EXECUTE."""
+
+    SQL = "SELECT id, x FROM t WHERE x < 50"
+
+    @pytest.mark.parametrize("sites", [
+        (), ("trap.morsel",), ("liftoff.compile",),
+        # no tier-0 and no baseline: the route's head cannot compile
+        ("stencil.assemble", "liftoff.compile"),
+    ], ids=["no-fault", "trap", "liftoff", "no-code"])
+    def test_both_doors_degrade_identically(self, sites):
+        db = Database(fallback="default")
+        db.execute("CREATE TABLE t (id INT PRIMARY KEY, x INT)")
+        db.table("t").append_rows([(i, i % 97) for i in range(400)])
+        service = QueryService(db)
+        session = service.create_session()
+        db.engine("wasm").fault_injector = FaultInjector.always(*sites)
+        try:
+            direct = db.execute(self.SQL)
+            miss = service.execute(self.SQL)
+            hit = service.execute(self.SQL)
+            service.execute(f"PREPARE q AS {self.SQL}", session=session)
+            executed = service.execute("EXECUTE q", session=session)
+        finally:
+            db.engine("wasm").fault_injector = None
+        # the cache holds compiled entries only: a head that cannot
+        # compile leaves every run a miss
+        compiles = sites != ("stencil.assemble", "liftoff.compile")
+        assert (miss.plan_cache, hit.plan_cache, executed.plan_cache) \
+            == (("miss", "hit", "hit") if compiles else ("miss",) * 3)
+        assert direct.degraded == (sites in (
+            ("trap.morsel",), ("stencil.assemble", "liftoff.compile")))
+        for served in (miss, hit, executed):
+            assert served.rows == direct.rows
+            assert served.fallback_attempts == direct.fallback_attempts
+            assert served.engine == direct.engine
+
+
+    def test_chain_change_reaches_cached_statements(self):
+        db = Database(fallback="default")
+        db.execute("CREATE TABLE t (id INT PRIMARY KEY, x INT)")
+        db.table("t").append_rows([(i, i % 97) for i in range(400)])
+        service = QueryService(db)
+        session = service.create_session()
+        service.execute(self.SQL)
+        service.execute(f"PREPARE q AS {self.SQL}", session=session)
+        db.engine("wasm").fault_injector = FaultInjector.always(
+            "trap.morsel")
+        try:
+            degraded = service.execute(self.SQL)
+            db.fallback = ()
+            with pytest.raises(Trap):
+                service.execute(self.SQL)
+            with pytest.raises(Trap):
+                service.execute("EXECUTE q", session=session)
+            db.fallback = ("volcano",)
+            narrowed = service.execute("EXECUTE q", session=session)
+        finally:
+            db.engine("wasm").fault_injector = None
+        assert (degraded.plan_cache, narrowed.plan_cache) == ("hit", "hit")
+        assert [s for s, _ in degraded.fallback_attempts] \
+            == ["wasm[adaptive_stencil]", "wasm[interpreter]"]
+        assert [s for s, _ in narrowed.fallback_attempts] \
+            == ["wasm[adaptive_stencil]"]
+        assert degraded.engine == narrowed.engine == "volcano"
+        assert narrowed.rows == degraded.rows == db.execute(self.SQL).rows
+
+
 class TestUnknownMode:
     def test_rejected_when_the_spec_is_resolved(self, doors):
         db, service = doors

@@ -12,7 +12,7 @@ import pytest
 
 from benchmarks.run_chaos import norm, run_sweep
 from repro.bench.tpch import QUERIES, tpch_database
-from repro.robustness import ENGINE_FAULT_SITES, FallbackPolicy, FaultInjector
+from repro.robustness import DEFAULT_CHAIN, ENGINE_FAULT_SITES, FaultInjector
 
 SEEDS = [0, 1, 2]
 
@@ -37,6 +37,11 @@ class TestChaosSweep:
     def test_no_unstructured_escapes(self, sweep_stats):
         assert sweep_stats["unstructured"] == []
 
+    def test_front_doors_agree(self, sweep_stats):
+        # every query also went through a QueryService over the same
+        # database: same outcome, because both run one fallback route
+        assert sweep_stats["doors_disagree"] == []
+
     def test_faults_actually_caused_degradation(self, sweep_stats):
         # the sweep is vacuous if no fault ever fired
         assert sweep_stats["degraded"] > 0
@@ -49,7 +54,7 @@ class TestTurbofanPinningInvariant:
         the query neither degrades nor errors — and results match."""
         db = tpch_database(scale_factor=0.002, seed=7,
                            default_engine="wasm")
-        db.fallback = FallbackPolicy()
+        db.fallback = DEFAULT_CHAIN
         wasm = db.engine("wasm")
         wasm.morsel_size = 256  # enough morsels that tier-up triggers
         reference = {

@@ -1,23 +1,43 @@
-"""Fallback chain: engine specs, retry policy, structured QueryError."""
+"""Fallback chain: engine specs, routes, structured QueryError."""
 
 import pytest
 
 from repro.db import Database
+from repro.engines.wasm_engine import QueryRun
 from repro.errors import (
     AnalysisError,
     CompilationError,
     ConfigError,
+    QueryCancelled,
     QueryError,
     ResourceExhausted,
     Trap,
 )
 from repro.robustness import (
     DEFAULT_CHAIN,
-    FallbackPolicy,
+    CancelToken,
+    Deadline,
     FaultInjector,
-    execute_with_fallback,
     parse_engine_spec,
+    run_route,
 )
+from repro.sql.analyzer import analyze
+from repro.sql.parser import parse
+
+
+class Answer:
+    """What ``run_route`` needs of a result: a ``fallback_attempts``
+    slot."""
+
+    def __init__(self, value):
+        self.value = value
+        self.fallback_attempts = None
+
+
+def run_specs(specs, run_one):
+    """``run_route`` over plain values: ``(value, failed specs)``."""
+    result = run_route(specs, lambda spec: Answer(run_one(spec)))
+    return result.value, [spec for spec, _ in result.fallback_attempts]
 
 
 class TestSpecs:
@@ -36,31 +56,28 @@ class TestSpecs:
 
 class TestPolicy:
     def test_default_chain(self):
-        policy = FallbackPolicy()
-        assert policy.chain == DEFAULT_CHAIN
+        assert Database(fallback="default").fallback == DEFAULT_CHAIN
+        assert Database(fallback=True).fallback == DEFAULT_CHAIN
+        assert Database().fallback == Database(fallback=[]).fallback == ()
 
     def test_attempts_start_with_primary_and_dedupe(self):
-        policy = FallbackPolicy()
-        assert policy.attempts_for("wasm[adaptive_stencil]") == [
+        db = Database(fallback="default")
+        assert db.route("wasm[adaptive_stencil]") == (
             "wasm[adaptive_stencil]", "wasm[interpreter]", "volcano"
-        ]
-        assert policy.attempts_for("volcano") == [
+        )
+        assert db.route("volcano") == (
             "volcano", "wasm[adaptive_stencil]", "wasm[interpreter]"
-        ]
-
-    def test_max_attempts_truncates(self):
-        policy = FallbackPolicy(max_attempts=2)
-        assert policy.attempts_for("wasm[adaptive_stencil]") == [
-            "wasm[adaptive_stencil]", "wasm[interpreter]"
-        ]
+        )
+        assert Database().route("volcano") == ("volcano",)
 
     def test_validation(self):
+        assert Database(fallback=["volcano"]).fallback == ("volcano",)
         with pytest.raises(ConfigError):
-            FallbackPolicy(chain=[])
+            Database(fallback=["wasm["])
         with pytest.raises(ConfigError):
-            FallbackPolicy(chain=["wasm["])
+            Database(fallback="volcano")
         with pytest.raises(ConfigError):
-            FallbackPolicy(max_attempts=0)
+            run_route((), lambda spec: None)
 
 
 class TestExecuteWithFallback:
@@ -71,7 +88,7 @@ class TestExecuteWithFallback:
             calls.append(spec)
             return spec.upper()
 
-        result, failures = execute_with_fallback(["a", "b"], run)
+        result, failures = run_specs(["a", "b"], run)
         assert (result, failures, calls) == ("A", [], ["a"])
 
     def test_retryable_error_advances_the_chain(self):
@@ -80,23 +97,23 @@ class TestExecuteWithFallback:
                 raise Trap("unreachable")
             return "ok"
 
-        result, failures = execute_with_fallback(["a", "b"], run)
+        result, failures = run_specs(["a", "b"], run)
         assert result == "ok"
-        assert [s for s, _ in failures] == ["a"]
+        assert failures == ["a"]
 
     def test_single_spec_reraises_the_original(self):
         def run(spec):
             raise Trap("unreachable")
 
         with pytest.raises(Trap):
-            execute_with_fallback(["a"], run)
+            run_specs(["a"], run)
 
     def test_all_fail_raises_structured_query_error(self):
         def run(spec):
             raise CompilationError(f"broken on {spec}")
 
         with pytest.raises(QueryError) as err:
-            execute_with_fallback(["a", "b", "c"], run)
+            run_specs(["a", "b", "c"], run)
         attempts = err.value.attempts
         assert [s for s, _ in attempts] == ["a", "b", "c"]
         assert all(isinstance(e, CompilationError) for e in err.value.causes)
@@ -110,7 +127,7 @@ class TestExecuteWithFallback:
             raise AnalysisError("bad query")
 
         with pytest.raises(AnalysisError):
-            execute_with_fallback(["a", "b"], run)
+            run_specs(["a", "b"], run)
         assert calls == ["a"]
 
     def test_non_retryable_after_fallback_is_wrapped(self):
@@ -120,7 +137,7 @@ class TestExecuteWithFallback:
             raise ResourceExhausted("wall_clock", "too slow")
 
         with pytest.raises(QueryError) as err:
-            execute_with_fallback(["a", "b", "c"], run)
+            run_specs(["a", "b", "c"], run)
         assert [s for s, _ in err.value.attempts] == ["a", "b"]
 
 
@@ -147,9 +164,9 @@ class TestDatabaseFallback:
         assert specs == ["wasm[adaptive_stencil]", "wasm[interpreter]"]
 
     def test_no_fallback_surfaces_the_trap(self, db):
+        db.fallback = ()
         with pytest.raises(Trap) as err:
-            db.execute("SELECT id FROM t WHERE y <> 0 AND x / y > 4",
-                       fallback=None)
+            db.execute("SELECT id FROM t WHERE y <> 0 AND x / y > 4")
         assert err.value.phase == "execution"
         assert err.value.pipeline_index is not None
         assert err.value.morsel is not None
@@ -179,17 +196,19 @@ class TestDatabaseFallback:
         finally:
             engine.fault_injector = None
 
-    def test_per_query_fallback_override(self, db):
-        result = db.execute(
-            "SELECT id FROM t WHERE y <> 0 AND x / y > 4",
-            fallback=["wasm", "vectorized"],
-        )
+    def test_custom_chain(self, db):
+        db.fallback = ("wasm", "vectorized")
+        result = db.execute("SELECT id FROM t WHERE y <> 0 AND x / y > 4")
         assert result.rows == [(1,), (3,)]
         assert result.engine == "vectorized"
+        assert [s for s, _ in result.fallback_attempts] == [
+            "wasm[adaptive_stencil]", "wasm"
+        ]
 
     def test_custom_primary_engine_spec(self, db):
+        db.fallback = ()
         result = db.execute("SELECT SUM(x) FROM t",
-                            engine="wasm[turbofan]", fallback=None)
+                            engine="wasm[turbofan]")
         assert result.rows == [(60,)]
         assert result.engine == "wasm[turbofan]"
 
@@ -225,3 +244,45 @@ class TestInsertColumnList:
     def test_analyzer_still_guards_the_public_path(self, db):
         with pytest.raises(AnalysisError):
             db.execute("INSERT INTO t (id, x, z) VALUES (7, 1, 2)")
+
+
+class TestUncachedRunsHonourTheRun:
+    """``Database.run_plan`` without a cached executable — every spec
+    past a route's head — checks the run's cancel token, deadline and
+    turnstile on every engine."""
+
+    SPECS = ["volcano", "vectorized", "hyper", "wasm[interpreter]"]
+
+    @pytest.fixture()
+    def planned(self, db):
+        db.table("t").append_rows([(i, i % 7, 1) for i in range(4, 3000)])
+        select = parse("SELECT SUM(x) FROM t")
+        analyze(select, db.catalog)
+        return db, db.plan(select)
+
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_cancelled_token_stops_the_run(self, planned, spec):
+        db, plan = planned
+        token = CancelToken(1)
+        token.cancel("stop")
+        with pytest.raises(QueryCancelled):
+            db.run_plan(plan, spec, QueryRun(cancel_token=token))
+
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_expired_deadline_stops_the_run(self, planned, spec):
+        db, plan = planned
+        now = [0.0]
+        deadline = Deadline(1.0, clock=lambda: now[0])
+        now[0] = 2.0
+        with pytest.raises(ResourceExhausted) as err:
+            db.run_plan(plan, spec, QueryRun(deadline=deadline))
+        assert err.value.resource == "wall_clock"
+
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_turnstile_is_passed(self, planned, spec):
+        db, plan = planned
+        passes = []
+        result = db.run_plan(plan, spec, QueryRun(
+            morsel_hook=lambda: passes.append(1)))
+        assert result.rows == db.execute("SELECT SUM(x) FROM t").rows
+        assert passes

@@ -1,21 +1,14 @@
-"""Unit tests for the resilience primitives (deadline, token, retry,
-breaker) on injected clocks/seeds — no threads, no engine."""
+"""Unit tests for the resilience primitives (deadline, token,
+breaker) on injected clocks — no threads, no engine."""
 
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
-from repro.errors import (
-    AdmissionError,
-    CompilationError,
-    ConfigError,
-    QueryCancelled,
-)
-from repro.robustness.resilience import (
-    CancelToken,
-    CircuitBreaker,
-    Deadline,
-    RetryPolicy,
-    TierBreakerBoard,
-)
+from repro.errors import ConfigError, QueryCancelled
+from repro.robustness import resilience
+from repro.robustness.resilience import CancelToken, CircuitBreaker, Deadline
 
 
 class FakeClock:
@@ -97,93 +90,20 @@ class TestCancelToken:
         assert fired == ["early", "late"]
 
 
-class TestRetryPolicy:
-    def test_delays_are_deterministic_and_exponential(self):
-        policy = RetryPolicy(base_delay=0.01, multiplier=2.0,
-                             jitter=0.5, seed=42)
-        again = RetryPolicy(base_delay=0.01, multiplier=2.0,
-                            jitter=0.5, seed=42)
-        delays = [policy.delay("q", a) for a in range(3)]
-        assert delays == [again.delay("q", a) for a in range(3)]
-        # jittered into [raw/2, raw]; raw doubles per attempt
-        for attempt, d in enumerate(delays):
-            raw = 0.01 * (2.0 ** attempt)
-            assert raw / 2 <= d <= raw
-        assert policy.delay("other-key", 0) != delays[0]
-
-    def test_retries_retryable_then_succeeds(self):
-        sleeps = []
-        policy = RetryPolicy(max_attempts=3, base_delay=0.01,
-                             sleep=sleeps.append)
-        calls = []
-
-        def flaky():
-            calls.append(1)
-            if len(calls) < 3:
-                raise CompilationError("turbofan bailout")
-            return "ok"
-
-        assert policy.run(flaky) == "ok"
-        assert len(calls) == 3
-        assert len(sleeps) == 2
-
-    def test_non_retryable_raises_immediately(self):
-        # a cancelled query is deliberately dead: retrying would undo
-        # the CANCEL, so the policy must give up on the first attempt
-        policy = RetryPolicy(max_attempts=5, sleep=lambda _: None)
-        calls = []
-
-        def cancelled():
-            calls.append(1)
-            raise QueryCancelled(query_id=1, reason="operator")
-
-        with pytest.raises(QueryCancelled):
-            policy.run(cancelled)
-        assert len(calls) == 1
-
-    def test_shed_admission_is_retryable_and_honors_the_hint(self):
-        sleeps = []
-        policy = RetryPolicy(max_attempts=2, base_delay=0.001,
-                             sleep=sleeps.append)
-        calls = []
-
-        def shed_once():
-            calls.append(1)
-            if len(calls) == 1:
-                raise AdmissionError("full", reason="queue_full",
-                                     retry_after=0.25)
-            return "ran"
-
-        assert policy.run(shed_once) == "ran"
-        assert sleeps == [pytest.approx(0.25)]  # hint raises the floor
-
-    def test_never_sleeps_past_the_deadline(self):
-        clock = FakeClock()
-        deadline = Deadline(0.05, clock=clock)
-        policy = RetryPolicy(max_attempts=5, base_delay=10.0, jitter=0.0,
-                             sleep=lambda _: None)
-
-        def always_shed():
-            raise AdmissionError("full", reason="queue_full")
-
-        with pytest.raises(AdmissionError):
-            policy.run(always_shed, deadline=deadline)
-
-    def test_bad_config_rejected(self):
-        with pytest.raises(ConfigError):
-            RetryPolicy(max_attempts=0)
-        with pytest.raises(ConfigError):
-            RetryPolicy(jitter=2.0)
+@pytest.fixture()
+def clock(monkeypatch) -> FakeClock:
+    """The breakers' clock, standing still until a test advances it."""
+    fake = FakeClock()
+    monkeypatch.setattr(resilience, "_clock", fake)
+    return fake
 
 
 class TestCircuitBreaker:
-    def test_failures_accumulate_without_reset_on_success(self):
+    def test_failures_accumulate_without_reset_on_success(self, clock):
         # bailouts happen once per compile episode, interleaved with
         # cheap successful runs — consecutive-failure semantics would
         # never trip, so successes must NOT clear the count while closed
-        clock = FakeClock()
-        breaker = CircuitBreaker(failure_threshold=2, cooldown_seconds=5.0,
-                                 clock=clock)
+        breaker = CircuitBreaker(failure_threshold=2, cooldown_seconds=5.0)
         breaker.record_failure()
         breaker.record_success()
         assert breaker.state == CircuitBreaker.CLOSED
@@ -192,11 +112,10 @@ class TestCircuitBreaker:
         assert breaker.state == CircuitBreaker.OPEN
         assert not breaker.allow()
 
-    def test_half_open_single_probe_then_close(self):
-        clock = FakeClock()
+    def test_half_open_single_probe_then_close(self, clock):
         transitions = []
         breaker = CircuitBreaker(
-            failure_threshold=1, cooldown_seconds=5.0, clock=clock,
+            failure_threshold=1, cooldown_seconds=5.0,
             on_transition=lambda old, new: transitions.append((old, new)),
         )
         breaker.record_failure()
@@ -210,10 +129,8 @@ class TestCircuitBreaker:
         assert transitions == [("closed", "open"), ("open", "half_open"),
                                ("half_open", "closed")]
 
-    def test_failed_probe_reopens_for_a_full_cooldown(self):
-        clock = FakeClock()
-        breaker = CircuitBreaker(failure_threshold=1, cooldown_seconds=5.0,
-                                 clock=clock)
+    def test_failed_probe_reopens_for_a_full_cooldown(self, clock):
+        breaker = CircuitBreaker(failure_threshold=1, cooldown_seconds=5.0)
         breaker.record_failure()
         clock.advance(5.0)
         assert breaker.allow()
@@ -225,23 +142,106 @@ class TestCircuitBreaker:
         assert breaker.allow()
 
 
-class TestTierBreakerBoard:
-    def test_per_fingerprint_isolation(self):
-        clock = FakeClock()
-        board = TierBreakerBoard(failure_threshold=1, cooldown_seconds=5.0,
-                                 clock=clock)
-        board.record("bad-query", bailouts=1)
-        assert not board.allow_tier_up("bad-query")
-        assert board.allow_tier_up("good-query")
-        assert board.states() == {"bad-query": "open",
-                                  "good-query": "closed"}
+class BreakerModel:
+    """The documented transitions of :class:`CircuitBreaker`, restated
+    on a clock the machine below owns."""
 
-    def test_clean_episode_closes_a_half_open_breaker(self):
-        clock = FakeClock()
-        board = TierBreakerBoard(failure_threshold=1, cooldown_seconds=5.0,
-                                 clock=clock)
-        board.record("q", bailouts=2)
-        clock.advance(5.0)
-        assert board.allow_tier_up("q")     # the probe compiles TurboFan
-        board.record("q", bailouts=0)       # ...and the episode was clean
-        assert board.state("q") == "closed"
+    THRESHOLD, COOLDOWN = 2, 5.0
+
+    def __init__(self, clock: FakeClock):
+        self.clock, self.state, self.failures = clock, "closed", 0
+        self.opened_at, self.probe, self.transitions = 0.0, False, []
+
+    def go(self, state: str) -> None:
+        self.transitions.append((self.state, state))
+        self.state, self.probe = state, False
+        self.opened_at = self.clock.now
+
+    def settle(self) -> None:
+        if self.state == "open" \
+                and self.clock.now - self.opened_at >= self.COOLDOWN:
+            self.go("half_open")
+
+    def allow(self) -> bool:
+        self.settle()
+        grant = self.state == "closed" or (self.state == "half_open"
+                                           and not self.probe)
+        self.probe |= self.state == "half_open"
+        return grant
+
+    def failure(self, count: int) -> None:
+        self.settle()
+        if self.state == "half_open":
+            return self.go("open")
+        self.failures += count
+        if self.state == "closed" and self.failures >= self.THRESHOLD:
+            self.go("open")
+
+    def success(self) -> None:
+        self.settle()
+        if self.state == "half_open":
+            self.failures = 0
+            self.go("closed")
+
+    def abandon_probe(self) -> None:
+        self.settle()
+        if self.state == "half_open" and self.probe:
+            self.go("open")
+
+
+class BreakerMachine(RuleBasedStateMachine):
+    """Random interleavings of the breaker's inputs against the model:
+    same answers from ``allow``, same state, count and transitions."""
+
+    def __init__(self):
+        super().__init__()
+        self.clock = FakeClock()
+        self.real_clock, resilience._clock = resilience._clock, self.clock
+        self.model = BreakerModel(self.clock)
+        self.transitions: list = []
+        self.breaker = CircuitBreaker(
+            BreakerModel.THRESHOLD, BreakerModel.COOLDOWN,
+            on_transition=lambda old, new:
+                self.transitions.append((old, new)),
+        )
+
+    def teardown(self):
+        resilience._clock = self.real_clock
+
+    @rule()
+    def allow(self):
+        assert self.breaker.allow() == self.model.allow()
+
+    @rule(count=st.integers(1, 3))
+    def failure(self, count):
+        self.breaker.record_failure(count)
+        self.model.failure(count)
+
+    @rule()
+    def success(self):
+        self.breaker.record_success()
+        self.model.success()
+
+    @rule()
+    def abandoned_probe(self):
+        self.breaker.abandon_probe()
+        self.model.abandon_probe()
+
+    @rule(seconds=st.sampled_from([0.5, BreakerModel.COOLDOWN - 0.5,
+                                   BreakerModel.COOLDOWN, 12.0]))
+    def advance(self, seconds):
+        self.clock.advance(seconds)
+
+    @invariant()
+    def agrees_with_the_model(self):
+        state = self.breaker.state
+        self.model.settle()
+        assert state == self.model.state
+        assert self.breaker.failures == self.model.failures
+        assert self.transitions == self.model.transitions
+
+
+TestBreakerMachine = BreakerMachine.TestCase
+TestBreakerMachine.settings = settings(max_examples=150,
+                                       stateful_step_count=30,
+                                       deadline=None)

@@ -9,7 +9,7 @@ import pytest
 
 from repro.db import Database
 from repro.errors import QueryError, Trap
-from repro.robustness import FaultInjector
+from repro.robustness import DEFAULT_CHAIN, FaultInjector
 
 MODES = ["adaptive", "liftoff", "turbofan"]
 
@@ -42,8 +42,8 @@ class TestDivideByZero:
 
     @pytest.mark.parametrize("mode", MODES)
     def test_succeeds_with_fallback(self, db, mode):
-        result = db.execute(DIV_SQL, engine=f"wasm[{mode}]",
-                            fallback=[f"wasm[{mode}]", "volcano"])
+        db.fallback = (f"wasm[{mode}]", "volcano")
+        result = db.execute(DIV_SQL, engine=f"wasm[{mode}]")
         assert result.rows == DIV_ROWS
         assert result.engine == "volcano"
         assert result.degraded
@@ -52,7 +52,8 @@ class TestDivideByZero:
         # when the fault is in the data, the chain ends in one structured
         # QueryError that carries each engine's own failure
         with pytest.raises(QueryError) as err:
-            db.execute("SELECT x / y FROM t", fallback="default")
+            db.fallback = DEFAULT_CHAIN
+            db.execute("SELECT x / y FROM t")
         assert len(err.value.attempts) == 3
 
 
@@ -75,8 +76,9 @@ class TestOutOfBounds:
         engine = db.engine("wasm")
         engine.fault_injector = FaultInjector.always("trap.morsel")
         try:
+            db.fallback = DEFAULT_CHAIN
             result = db.execute("SELECT SUM(x) FROM t",
-                                engine=f"wasm[{mode}]", fallback="default")
+                                engine=f"wasm[{mode}]")
             assert result.rows == [(60,)]
             assert result.degraded
             assert result.engine == "volcano"
@@ -90,7 +92,8 @@ class TestOutOfBounds:
         engine.fault_injector = FaultInjector.always("trap.morsel",
                                                      max_fires=1)
         try:
-            result = db.execute("SELECT SUM(x) FROM t", fallback="default")
+            db.fallback = DEFAULT_CHAIN
+            result = db.execute("SELECT SUM(x) FROM t")
             assert result.rows == [(60,)]
             assert result.engine == "wasm[interpreter]"
         finally:

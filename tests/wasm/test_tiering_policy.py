@@ -21,7 +21,7 @@ from repro.engines.wasm_engine import QueryRun, WasmEngine
 from repro.observability import FakeClock, QueryTrace
 from repro.errors import CompilationError
 from repro.observability import get_registry
-from repro.robustness import FaultInjector
+from repro.robustness import DEFAULT_CHAIN, FaultInjector
 from repro.server import QueryService
 from repro.sql.analyzer import analyze
 from repro.sql.parser import parse
@@ -423,8 +423,10 @@ class TestLandingRule:
                 assert result.rows == oracle
                 assert result.degraded == escapes
             if escapes:
+                db.fallback = ()
                 with pytest.raises(CompilationError):
-                    db.execute(sql, engine=spec, fallback=None)
+                    db.execute(sql, engine=spec)
+                db.fallback = DEFAULT_CHAIN
 
 
 # -- through the SQL engine ---------------------------------------------------
